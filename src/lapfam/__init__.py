@@ -44,6 +44,7 @@ from .graphs import (
     permuted,
     radius,
 )
+from .linalg import char_poly
 from .metric import (
     SearchExhausted,
     dimension_search,
@@ -59,7 +60,6 @@ from .spectra import (
     NonIntegralResidue,
     Spectrum,
     VerificationError,
-    char_poly,
     edge_partition_sums,
     eigenvalue_of_class,
     eigenvector_family,

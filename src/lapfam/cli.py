@@ -32,7 +32,7 @@ from .families import (
 from .formats import read_graph_auto, write_dot, write_edgelist, write_graph6
 from .graphs import Graph
 from .metric import SearchExhausted, dimension_search
-from .spectra import NonIntegralResidue, integral_spectrum, laplacian
+from .spectra import Spectrum, integral_spectrum, laplacian
 from .verify import run_verify
 
 _CONSTRUCTIONS = ("direct", "iterative", "indexed")
@@ -131,30 +131,20 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    result = integral_spectrum(laplacian(g))
-    if isinstance(result, NonIntegralResidue):
-        pairs, charpoly, residual = result.partial_pairs, result.charpoly, result.degree
-    else:
-        pairs, charpoly, residual = result.pairs, result.charpoly, 0
-    integral = residual == 0
-    distinct = integral and all(mult == 1 for _, mult in pairs)
-    realizes = None
-    if distinct:
-        present = {lam for lam, _ in pairs}
-        missing = [i for i in range(g.n + 1) if i not in present]
-        if len(missing) == 1:
-            realizes = missing[0]
+    spec = integral_spectrum(laplacian(g))
+    integral = isinstance(spec, Spectrum)
+    pairs = spec.pairs if integral else spec.partial_pairs
     payload = {
         "n": g.n,
         "edges": g.edge_count,
-        "charpoly": [str(coeff) for coeff in charpoly],
+        "charpoly": [str(coeff) for coeff in spec.charpoly],
         "eigenvalues": [
             {"value": str(lam), "multiplicity": mult} for lam, mult in pairs
         ],
         "integral": integral,
-        "distinct": distinct,
-        "realizes_S": realizes,
-        "residual_degree": residual,
+        "distinct": integral and spec.distinct,
+        "realizes_S": spec.gap if integral else None,
+        "residual_degree": 0 if integral else spec.degree,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -83,6 +83,17 @@ def poly_eval(coeffs: Sequence[int], x: int) -> int:
     return out
 
 
+def poly_deflate(coeffs: Sequence[int], root: int) -> list[int]:
+    """Exact quotient of the polynomial by (x - root), by synthetic division."""
+    carry, quotient = 0, []
+    for c in reversed(coeffs):
+        carry = carry * root + c
+        quotient.append(carry)
+    if quotient.pop():
+        raise ArithmeticError(f"x - {root} does not divide the polynomial")
+    return quotient[::-1]
+
+
 def rank(a: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals of an integer matrix (Bareiss elimination)."""
     m = [list(row) for row in a]

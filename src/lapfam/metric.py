@@ -109,11 +109,13 @@ def dimension_search(
     """Smallest resolving set of the requested kind, with its first witness.
 
     Returns (size, witness).  Raises SearchExhausted when no subset of size
-    up to ``max_size`` (default: all of V) works, and ValueError on graphs
-    past SEARCH_VERTEX_LIMIT vertices unless ``allow_large`` is set.
+    up to ``max_size`` (default: all of V) works, and ValueError on a negative
+    ``max_size``, or on graphs past SEARCH_VERTEX_LIMIT without ``allow_large``.
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}: {kind!r}")
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be non-negative: {max_size}")
     if g.n > SEARCH_VERTEX_LIMIT and not allow_large:
         raise ValueError(
             f"subset search over {g.n} > {SEARCH_VERTEX_LIMIT} vertices; "

@@ -114,6 +114,23 @@ def fraction_rank(mat):
     return rank
 
 
+def nullity_sweep_spectrum(lap):
+    """Integral eigenvalues of a Laplacian as (eigenvalue, multiplicity)
+    pairs, descending, plus the degree left unaccounted for.  Each candidate
+    0..n gets the nullity n - rank(L - lam*I), by rational elimination."""
+    n = len(lap)
+    pairs = []
+    for lam in range(n, -1, -1):
+        shifted = [
+            [x - (lam if i == j else 0) for j, x in enumerate(row)]
+            for i, row in enumerate(lap)
+        ]
+        mult = n - fraction_rank(shifted)
+        if mult:
+            pairs.append((lam, mult))
+    return tuple(pairs), n - sum(mult for _, mult in pairs)
+
+
 def naive_outer_dimension(g):
     """Smallest outer multiset resolving set by full enumeration."""
     dist = naive_distance_matrix(g)

@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +177,13 @@ class TestDimension:
         assert payload["exhausted"] is True
         assert payload["max_size"] == 0
 
+    def test_negative_cap_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "dimension", "gplus:2,2", "--max-size", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("lapfam: error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_vector_kind(self, capsys):
         # g:2,3 is complete on 4 vertices, so any 3 vertices are needed
         payload = run_json(capsys, "dimension", "g:2,3", "--kind", "vector")
@@ -246,10 +255,13 @@ class TestErrorPaths:
 
 class TestEntryPoints:
     def test_module_invocation(self):
+        # the child imports lapfam from the same source tree as this process
+        src = str(Path(cli.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "lapfam", "gen", "gplus:2,2"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0
         assert proc.stdout == "D}_\n"

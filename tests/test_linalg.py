@@ -2,9 +2,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapfam import char_poly
-from lapfam.linalg import identity, mat_mul, mat_vec, nullity, poly_eval, rank, trace
-from helpers import cofactor_charpoly, fraction_rank
+from lapfam import char_poly, linalg
+from lapfam.linalg import (
+    identity,
+    mat_mul,
+    mat_vec,
+    nullity,
+    poly_deflate,
+    poly_eval,
+    rank,
+    trace,
+)
+from helpers import cofactor_charpoly, fraction_rank, poly_mul
 
 
 def square_matrices(max_n=5, lo=-5, hi=5):
@@ -42,6 +51,9 @@ class TestBasics:
 
 
 class TestCharPoly:
+    def test_package_exports_linalg_definition(self):
+        assert char_poly is linalg.char_poly
+
     def test_empty_matrix(self):
         assert char_poly([]) == [1]
 
@@ -86,6 +98,36 @@ class TestPolyEval:
         assert poly_eval(coeffs, 0) == 0
         assert poly_eval(coeffs, 2) == 0
         assert poly_eval(coeffs, 1) != 0
+
+
+class TestPolyDeflate:
+    def test_nonzero_remainder_raises(self):
+        # x^2 + 1 at x = 1 leaves remainder 2
+        with pytest.raises(ArithmeticError):
+            poly_deflate([1, 0, 1], 1)
+        with pytest.raises(ArithmeticError):
+            poly_deflate([1], 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        factor=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+        root=st.integers(-6, 6),
+    )
+    def test_undoes_multiplication(self, factor, root):
+        product = poly_mul(factor, [-root, 1])
+        assert poly_deflate(product, root) == factor
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=6),
+        root=st.integers(-6, 6),
+    )
+    def test_raises_exactly_off_roots(self, coeffs, root):
+        if poly_eval(coeffs, root):
+            with pytest.raises(ArithmeticError):
+                poly_deflate(coeffs, root)
+        else:
+            assert poly_mul(poly_deflate(coeffs, root), [-root, 1]) == coeffs
 
 
 class TestRank:

@@ -137,6 +137,11 @@ class TestDimensionSearch:
         assert exc.value.max_size == 0
         assert exc.value.kind == "multiset"
 
+    def test_negative_cap_rejected(self):
+        for kind in ("outer", "multiset", "vector"):
+            with pytest.raises(ValueError, match="non-negative"):
+                dimension_search(resolver_graph(2, 2), kind=kind, max_size=-1)
+
     def test_triangle_exhausts_multiset_search(self):
         # every vertex of K3 sees the same distance multiset {0, 1, 1}
         with pytest.raises(SearchExhausted):

@@ -24,7 +24,7 @@ from lapfam import (
 )
 from lapfam import spectra
 from lapfam.linalg import poly_eval
-from helpers import component_count, connected_graphs
+from helpers import component_count, connected_graphs, graphs, nullity_sweep_spectrum
 
 
 class TestLaplacian:
@@ -100,6 +100,74 @@ class TestIntegralSpectrum:
         assert spec.charpoly[n] == 1
         assert spec.charpoly[0] == 0  # 0 is always a Laplacian eigenvalue
         assert list(spec.charpoly) == char_poly(lap)
+
+
+def pairs_and_residual(spec):
+    if isinstance(spec, Spectrum):
+        return spec.pairs, 0
+    return spec.partial_pairs, spec.degree
+
+
+class TestAgainstNullitySweep:
+    """The polynomial route must match the nullity of L - lam*I for every lam."""
+
+    def test_corpus(self, corpus_graph):
+        lap = laplacian(corpus_graph)
+        assert pairs_and_residual(integral_spectrum(lap)) == nullity_sweep_spectrum(lap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs(max_n=8))
+    def test_random_graphs(self, g):
+        lap = laplacian(g)
+        assert pairs_and_residual(integral_spectrum(lap)) == nullity_sweep_spectrum(lap)
+
+    def test_complete_graphs(self):
+        for n in range(1, 9):
+            lap = laplacian(Graph.complete(n))
+            spec = integral_spectrum(lap)
+            want = ((n, n - 1), (0, 1)) if n > 1 else ((0, 1),)
+            assert spec.pairs == want
+            assert pairs_and_residual(spec) == nullity_sweep_spectrum(lap)
+
+    def test_one_char_poly_and_no_nullity(self, monkeypatch):
+        calls = []
+        real = spectra.linalg.char_poly
+
+        def counting(mat):
+            calls.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(spectra.linalg, "char_poly", counting)
+        monkeypatch.setattr(spectra.linalg, "nullity", None)
+        integral_spectrum(laplacian(resolver_graph(2, 3)))
+        assert len(calls) == 1
+
+
+class TestGapProperty:
+    def test_family_members(self):
+        for c in range(1, 6):
+            assert integral_spectrum(laplacian(resolver_graph(2, c))).gap == c + 1
+
+    def test_single_vertex(self):
+        assert integral_spectrum(laplacian(Graph(1))).gap == 1
+
+    def test_repeated_eigenvalue(self):
+        assert integral_spectrum(laplacian(Graph.complete(3))).gap is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs(max_n=7))
+    def test_matches_explicit_rule(self, g):
+        spec = integral_spectrum(laplacian(g))
+        if not isinstance(spec, Spectrum):
+            return
+        simple_gaps = [
+            i
+            for i in range(g.n + 1)
+            if spec.pairs == tuple((lam, 1) for lam in range(g.n, -1, -1) if lam != i)
+        ]
+        assert spec.gap == (simple_gaps[0] if simple_gaps else None)
+        for i in range(g.n + 1):
+            assert realizes_gap_spectrum(g, i) == (i in simple_gaps)
 
 
 class TestClosedFormEigenpairs:
