@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: ``gen`` (emit a family member in graph6/DOT/edge-list/JSON),
-``spectrum`` (exact Laplacian spectrum report), ``dimension`` (brute-force
+``spectrum`` (exact Laplacian spectrum report), ``dimension`` (exact
 resolving-set search), ``verify`` (the full self-check battery).
 
 Family specs use the grammar ``g:d,c`` and ``gplus:d,c[:construction]``
@@ -153,13 +153,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_dimension(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     start = time.perf_counter()
+    # The result and the exhaustion error both carry the work counters.
     try:
-        size, witness = dimension_search(
+        outcome = dimension_search(
             g, args.kind, args.max_size, allow_large=args.allow_large
         )
-        exhausted = False
-    except SearchExhausted:
-        size, witness, exhausted = None, None, True
+        size, witness = outcome
+    except SearchExhausted as exc:
+        outcome, size, witness = exc, None, None
     elapsed = time.perf_counter() - start
     labels = g.labels
     payload = {
@@ -170,8 +171,10 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         "witness_labels": None
         if witness is None or labels is None
         else [str(labels[v]) if labels[v] is not None else None for v in witness],
-        "exhausted": exhausted,
+        "exhausted": witness is None,
         "max_size": args.max_size,
+        "subsets_tested": outcome.subsets_tested,
+        "pruned": outcome.pruned,
         "elapsed": round(elapsed, 6),
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--out", default=None)
     spectrum.set_defaults(func=cmd_spectrum)
 
-    dimension = sub.add_parser("dimension", help="brute-force resolving-set search")
+    dimension = sub.add_parser("dimension", help="smallest resolving set, by exact search")
     dimension.add_argument("input", help="family spec or graph file")
     dimension.add_argument(
         "--kind", choices=("outer", "multiset", "vector"), default="outer"

@@ -3,6 +3,9 @@
 Vertices are 0-based indices.  Each vertex's neighbourhood is stored as a
 Python int used as a bitset, so BFS frontiers expand with wordwise OR.
 Graphs are immutable after construction and safe for concurrent reads.
+Each graph computes its all-pairs distances at most once, on first use,
+and keeps them for its own lifetime (two threads racing to fill the cache
+store equal values).
 External reports (CLI, file formats) print 1-based vertex numbers.
 """
 
@@ -64,7 +67,7 @@ class Graph:
     distinct.
     """
 
-    __slots__ = ("_n", "_m", "_adj", "_labels")
+    __slots__ = ("_n", "_m", "_adj", "_labels", "_dist")
 
     def __init__(
         self,
@@ -96,6 +99,7 @@ class Graph:
         self._m = m
         self._adj = tuple(adj)
         self._labels = labels
+        self._dist: tuple[tuple[int | None, ...], ...] | None = None
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -135,6 +139,13 @@ class Graph:
             for v in _iter_bits(self._adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
+    def distances(self) -> tuple[tuple[int | None, ...], ...]:
+        """All-pairs BFS distances (None = unreachable), computed on first
+        use and cached on the graph.  The rows are shared, hence tuples."""
+        if self._dist is None:
+            self._dist = tuple(tuple(bfs_distances(self, v)) for v in range(self._n))
+        return self._dist
+
     def with_labels(self, labels: Sequence[Label | None] | None) -> "Graph":
         """Same adjacency, different labels."""
         return Graph(self._n, self.edges(), labels)
@@ -173,7 +184,8 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
 
 
 def all_pairs_distances(g: Graph) -> list[list[int | None]]:
-    return [bfs_distances(g, v) for v in range(g.n)]
+    """A fresh, mutable copy of ``g.distances()``."""
+    return [list(row) for row in g.distances()]
 
 
 def eccentricities(g: Graph) -> list[int]:
@@ -181,9 +193,8 @@ def eccentricities(g: Graph) -> list[int]:
     if g.n == 0:
         raise ValueError("eccentricities of the empty graph are undefined")
     out = []
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        if any(d is None for d in dist):
+    for v, dist in enumerate(g.distances()):
+        if None in dist:
             raise DisconnectedGraphError(f"vertex {v} cannot reach the whole graph")
         out.append(max(dist))  # type: ignore[type-var]
     return out

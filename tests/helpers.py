@@ -131,16 +131,28 @@ def nullity_sweep_spectrum(lap):
     return tuple(pairs), n - sum(mult for _, mult in pairs)
 
 
-def naive_outer_dimension(g):
-    """Smallest outer multiset resolving set by full enumeration."""
+def naive_dimension(g, kind, max_size=None):
+    """Smallest resolving set of the kind ("vector", "multiset" or "outer")
+    and its lexicographically first witness, by full enumeration of the
+    subsets up to ``max_size`` with sorted-tuple multisets; None when none
+    of them resolves."""
     dist = naive_distance_matrix(g)
-    for size in range(g.n + 1):
+    cap = g.n if max_size is None else min(max_size, g.n)
+    for size in range(cap + 1):
         for ws in combinations(range(g.n), size):
-            outside = [u for u in range(g.n) if u not in ws]
-            reps = [tuple(sorted(dist[u][w] for w in ws)) for u in outside]
+            if kind == "vector":
+                reps = [tuple(dist[u][w] for w in ws) for u in range(g.n)]
+            else:
+                us = [u for u in range(g.n) if kind == "multiset" or u not in ws]
+                reps = [tuple(sorted(dist[u][w] for w in ws)) for u in us]
             if len(set(reps)) == len(reps):
                 return size, ws
-    raise AssertionError("unreachable: the full vertex set always resolves")
+    return None
+
+
+def naive_outer_dimension(g):
+    """Smallest outer multiset resolving set by full enumeration."""
+    return naive_dimension(g, "outer")
 
 
 @st.composite

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lapfam import Check, VerifyReport
+from lapfam import Check, VerifyReport, dimension_search, resolver_graph
 from lapfam import cli
 from lapfam.cli import FamilySpec, main, parse_family_spec
 
@@ -165,6 +165,9 @@ class TestDimension:
         assert payload["witness_labels"] == ["12", "22"]
         assert payload["exhausted"] is False
         assert payload["elapsed"] >= 0
+        found = dimension_search(resolver_graph(2, 2))
+        assert payload["subsets_tested"] == found.subsets_tested
+        assert payload["pruned"] == found.pruned
 
     def test_exhausted_run(self, capsys, tmp_path):
         graph_file = tmp_path / "edge.g6"
@@ -176,6 +179,9 @@ class TestDimension:
         assert payload["witness"] is None
         assert payload["exhausted"] is True
         assert payload["max_size"] == 0
+        # two vertices cannot both have the empty multiset: the counting
+        # bound drops the only subset within the cap untested
+        assert (payload["subsets_tested"], payload["pruned"]) == (0, 1)
 
     def test_negative_cap_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "dimension", "gplus:2,2", "--max-size", "-1")

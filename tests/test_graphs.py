@@ -113,6 +113,44 @@ class TestDistances:
         source = data.draw(st.integers(min_value=0, max_value=g.n - 1))
         assert bfs_distances(g, source) == naive_distances(g, source)
 
+    def test_all_pairs_returns_fresh_lists(self):
+        g = Graph.path(3)
+        first = all_pairs_distances(g)
+        first[0][2] = 99
+        assert all_pairs_distances(g) == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+        assert all_pairs_distances(g) is not all_pairs_distances(g)
+
+    def test_distances_computed_once_per_graph(self, monkeypatch):
+        import lapfam.graphs as graphs_module
+        from lapfam import (
+            dimension_search,
+            is_multiset_resolving,
+            is_outer_multiset_resolving,
+            is_resolving,
+            multiset_rep,
+            radius,
+            resolver_graph,
+            vector_rep,
+        )
+
+        sources = []
+        real = graphs_module.bfs_distances
+        monkeypatch.setattr(
+            graphs_module,
+            "bfs_distances",
+            lambda g, source: sources.append(source) or real(g, source),
+        )
+        g = resolver_graph(2, 3)
+        for _ in range(2):
+            eccentricities(g), diameter(g), radius(g), all_pairs_distances(g)
+            vector_rep(g, 0, (1, 2)), multiset_rep(g, 0, (1, 2))
+            is_resolving(g, (0,)), is_multiset_resolving(g, (0,))
+            is_outer_multiset_resolving(g, (0,)), dimension_search(g)
+        assert sources == list(range(g.n))
+        # the cache belongs to the graph: an equal graph computes its own
+        eccentricities(g.with_labels(None))
+        assert sources == list(range(g.n)) * 2
+
     @given(graphs(max_n=6))
     @settings(max_examples=40)
     def test_all_pairs_symmetric(self, g):

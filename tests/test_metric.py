@@ -1,5 +1,9 @@
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapfam import (
     DisconnectedGraphError,
@@ -14,7 +18,21 @@ from lapfam import (
     resolver_graph,
     vector_rep,
 )
-from helpers import connected_graphs, naive_outer_dimension
+from helpers import connected_graphs, naive_dimension, naive_outer_dimension
+
+KINDS = ("outer", "multiset", "vector")
+
+
+def brute_force_count(g, kind, max_size):
+    """Subsets a size-ascending lexicographic enumeration tests before it
+    stops, at its witness or after the last subset within the cap."""
+    cap = g.n if max_size is None else min(max_size, g.n)
+    found = naive_dimension(g, kind, max_size)
+    if found is None:
+        return sum(comb(g.n, s) for s in range(cap + 1))
+    size, witness = found
+    rank = list(combinations(range(g.n), size)).index(witness)
+    return sum(comb(g.n, s) for s in range(size)) + rank + 1
 
 
 def resolver_indices(g, c):
@@ -115,6 +133,9 @@ class TestDimensionSearch:
         assert dimension_search(Graph.path(3)) == (1, (0,))
 
     def test_path_four_all_kinds(self):
+        # Every pair collides before a vertex joins, and W = {0} separates
+        # the pairs (0, v) by 0 joining itself; for the outer kind the
+        # endpoint resolves although both endpoints together do not.
         p4 = Graph.path(4)
         assert dimension_search(p4, kind="vector") == (1, (0,))
         assert dimension_search(p4, kind="multiset") == (1, (0,))
@@ -166,13 +187,66 @@ class TestDimensionSearch:
     def test_matches_brute_force_oracle(self, g):
         assert dimension_search(g, kind="outer") == naive_outer_dimension(g)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        g=connected_graphs(max_n=8),
+        kind=st.sampled_from(KINDS),
+        max_size=st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    def test_matches_brute_force_all_kinds(self, g, kind, max_size):
+        want = naive_dimension(g, kind, max_size)
+        if want is None:
+            with pytest.raises(SearchExhausted) as exc:
+                dimension_search(g, kind, max_size)
+            counters = exc.value
+        else:
+            counters = dimension_search(g, kind, max_size)
+            assert counters == want
+        # every subset the brute force tests is either tested or pruned
+        assert counters.subsets_tested + counters.pruned == brute_force_count(
+            g, kind, max_size
+        )
+
     @settings(max_examples=40, deadline=None)
     @given(g=connected_graphs(max_n=6))
     def test_multiset_implies_vector_and_outer(self, g):
-        from itertools import combinations
-
         for size in range(1, g.n + 1):
             for ws in combinations(range(g.n), size):
                 if is_multiset_resolving(g, ws):
                     assert is_resolving(g, ws)
                     assert is_outer_multiset_resolving(g, ws)
+
+
+class TestPruning:
+    """Cases the pair-pruning rule and the code encoding must get right."""
+
+    def test_outer_dimension_of_gplus_4_3(self):
+        # the lex-first minimal set: seven vertices, not the three resolvers
+        g = resolver_graph(4, 3)
+        assert dimension_search(g, kind="outer") == (7, (0, 1, 4, 10, 12, 20, 21))
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_complete_graph_multiset(self, k):
+        # every vertex of K_k sees one 0 and its other distances are all 1,
+        # so counts reach k - 1 and only K_1 and K_2 have a multiset
+        # resolving set
+        g = Graph.complete(k)
+        want = naive_dimension(g, "multiset")
+        assert want == {1: (0, ()), 2: (1, (0,))}.get(k)
+        if want is None:
+            with pytest.raises(SearchExhausted):
+                dimension_search(g, kind="multiset")
+        else:
+            assert dimension_search(g, kind="multiset") == want
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_counters_are_deterministic(self, kind):
+        g = resolver_graph(3, 3)
+        first = dimension_search(g, kind=kind)
+        again = dimension_search(g, kind=kind)
+        assert first.subsets_tested + first.pruned > 0
+        assert (first.subsets_tested, first.pruned) == (
+            again.subsets_tested,
+            again.pruned,
+        )
+        assert first.subsets_tested + first.pruned == brute_force_count(g, kind, None)
