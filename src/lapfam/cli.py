@@ -145,6 +145,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "distinct": integral and spec.distinct,
         "realizes_S": spec.gap if integral else None,
         "residual_degree": 0 if integral else spec.degree,
+        "moduli": spec.moduli,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0

@@ -1,15 +1,19 @@
 """Exact dense linear algebra over arbitrary-precision integers.
 
 Matrices are lists of row lists.  Nothing here ever touches floating
-point: the characteristic polynomial uses the Faddeev-LeVerrier trace
-recurrence (every division is by the step index and is exact over the
-integers; exactness is asserted), and rank uses Bareiss one-step
-fraction-free elimination with first-nonzero pivoting (every division is
-by the previous pivot and is exact; asserted likewise).
+point.  The characteristic polynomial is computed modulo word-size primes,
+each certified by deterministic Miller-Rabin below its proven limit, by
+Hessenberg reduction (Cohen, "A Course in Computational Algebraic Number
+Theory", Alg. 2.2.9); the residues are joined by CRT, and Hadamard's
+inequality fixes in advance how many primes make the symmetric lift exact.
+Rank uses Bareiss one-step fraction-free elimination with first-nonzero
+pivoting (every division is by the previous pivot and is exact; asserted).
 """
 
 from __future__ import annotations
 
+from math import isqrt
+from operator import mul
 from typing import Sequence
 
 IntMatrix = list[list[int]]
@@ -54,26 +58,108 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-def char_poly(a: Sequence[Sequence[int]]) -> list[int]:
-    """Monic characteristic polynomial det(xI - A), coefficients by ascending degree.
+class CharPoly(list):
+    """``char_poly``'s coefficient list, carrying the number of primes it
+    used as ``moduli`` (in the manner of ``os.stat_result``)."""
 
-    Faddeev-LeVerrier: with M_1 = I and M_{k+1} = A M_k + c_{n-k} I, the
-    coefficient c_{n-k} = -tr(A M_k)/k; the division is exact for integer A.
+    def __init__(self, coeffs: list[int], moduli: int):
+        super().__init__(coeffs)
+        self.moduli = moduli
+
+
+# Miller-Rabin to the first 13 prime bases is proven below MR_LIMIT, the least
+# strong pseudoprime to all of them (Sorenson-Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_LIMIT = 3317044064679887385961981
+_primes: list[int] = []  # memo: the certified primes below 2**78, descending
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test; refuses n >= MR_LIMIT."""
+    if n >= MR_LIMIT:
+        raise ValueError(f"{n} is at or above the proven limit {MR_LIMIT}")
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def hadamard_bound(a: Sequence[Sequence[int]]) -> int:
+    """max_j e_j(r_1..r_n), r_i the ceiling of row i's 2-norm.  Coefficient
+    c_{n-j} of det(xI - A) is a sum of j x j principal minors, and Hadamard's
+    inequality bounds each by the product of its rows' norms."""
+    e = [1]
+    for r in (isqrt(sum(x * x for x in row) - 1) + 1 if any(row) else 0 for row in a):
+        e = [x + r * y for x, y in zip(e + [0], [0] + e)]
+    return max(e)
+
+
+def _char_poly_mod(a: Sequence[Sequence[int]], p: int) -> list[int]:
+    """det(xI - A) mod p: reduce A to upper Hessenberg form H by similarity,
+    then p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1} p_i
+    over the characteristic polynomials p_k of H's leading k x k blocks."""
+    n = len(a)
+    h = [[x % p for x in row] for row in a]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        h[m], h[piv] = h[piv], h[m]
+        for row in h:
+            row[m], row[piv] = row[piv], row[m]
+        top, inv = h[m], pow(h[m][m - 1], -1, p)
+        mults = [h[i][m - 1] * inv % p for i in range(m + 1, n)]
+        for i, u in enumerate(mults, m + 1):
+            if u:
+                h[i][m - 1 :] = [(x - u * y) % p for x, y in zip(h[i][m - 1 :], top[m - 1 :])]
+        for row in h:  # complete the similarity: column m += u_i * column i
+            row[m] = (row[m] + sum(map(mul, mults, row[m + 1 :]))) % p
+    polys = [[1]]
+    for k in range(n):
+        acc, t = [0] + polys[k], 1  # t = h_{i+1,i} ... h_{k,k-1}
+        for i in range(k, -1, -1):
+            coef = h[i][k] * t % p
+            if coef:
+                acc[: i + 1] = [x - coef * c for x, c in zip(acc, polys[i])]
+            t = t * h[i][i - 1] % p
+        polys.append([x % p for x in acc])
+    return polys[n]
+
+
+def char_poly(a: Sequence[Sequence[int]]) -> CharPoly:
+    """Characteristic polynomial det(xI - A) of an integer matrix, exactly,
+    by ascending degree: residues modulo the primes below 2**78, joined by
+    CRT and lifted to the symmetric range (-M/2, M/2].  The primes are taken
+    until their product M exceeds twice ``hadamard_bound(a)``, so the lift
+    is exact.  O(n^3) operations per prime.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = identity(n)
-    for k in range(1, n + 1):
-        t = sum(a[i][j] * m[j][i] for i in range(n) for j in range(n))
-        coeffs[n - k] = _exact_div(-t, k)
-        if k < n:
-            m = mat_mul(a, m)
-            for i in range(n):
-                m[i][i] += coeffs[n - k]
-    return coeffs
+    bound = hadamard_bound(a)
+    coeffs, modulus, k = [0] * (n + 1), 1, 0
+    while modulus <= 2 * bound:
+        while len(_primes) <= k:  # find the next certified prime below 2**78
+            q = (_primes[-1] if _primes else (1 << 78) + 1) - 2
+            while not is_prime(q):
+                q -= 2
+            _primes.append(q)
+        p = _primes[k]
+        inv = pow(modulus, -1, p)
+        coeffs = [x + modulus * ((r - x) * inv % p) for x, r in zip(coeffs, _char_poly_mod(a, p))]
+        modulus, k = modulus * p, k + 1
+    assert modulus > 2 * bound and all(p < MR_LIMIT for p in _primes[:k])
+    return CharPoly([x - modulus if 2 * x > modulus else x for x in coeffs], k)
 
 
 def poly_eval(coeffs: Sequence[int], x: int) -> int:

@@ -38,10 +38,11 @@ class VerificationError(Exception):
 class Spectrum:
     """Fully integral Laplacian spectrum: (eigenvalue, multiplicity) pairs,
     eigenvalues descending, plus the monic characteristic polynomial
-    (coefficients by ascending degree)."""
+    (coefficients by ascending degree) and the number of primes it took."""
 
     pairs: tuple[tuple[int, int], ...]
     charpoly: tuple[int, ...]
+    moduli: int
 
     @property
     def eigenvalues(self) -> tuple[int, ...]:
@@ -67,6 +68,7 @@ class NonIntegralResidue:
     degree: int
     partial_pairs: tuple[tuple[int, int], ...]
     charpoly: tuple[int, ...]
+    moduli: int
 
 
 @dataclass(frozen=True)
@@ -93,8 +95,8 @@ def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum | NonIntegralRes
     equals dim ker(L - lam*I).  Returns a Spectrum when the multiplicities
     account for all n eigenvalues, otherwise a NonIntegralResidue.
     """
-    cp = tuple(linalg.char_poly(lap))
-    rest = cp
+    found = linalg.char_poly(lap)
+    cp = rest = tuple(found)
     pairs = []
     for lam in range(len(lap), -1, -1):
         mult = 0
@@ -104,8 +106,8 @@ def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum | NonIntegralRes
         if mult:
             pairs.append((lam, mult))
     if len(rest) == 1:
-        return Spectrum(tuple(pairs), cp)
-    return NonIntegralResidue(len(rest) - 1, tuple(pairs), cp)
+        return Spectrum(tuple(pairs), cp, found.moduli)
+    return NonIntegralResidue(len(rest) - 1, tuple(pairs), cp, found.moduli)
 
 
 def eigenvalue_of_class(c: int, r: int) -> int:

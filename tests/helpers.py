@@ -1,9 +1,10 @@
 """Independent oracle implementations for the test suite.
 
 Everything here recomputes library results by a deliberately different
-route (deque BFS instead of bitset BFS, cofactor expansion instead of the
-trace recurrence, rational Gaussian elimination instead of fraction-free),
-so exact agreement between the two is meaningful evidence.
+route (deque BFS instead of bitset BFS; cofactor expansion and the
+Faddeev-LeVerrier trace recurrence over the integers instead of Hessenberg
+reduction modulo primes; rational Gaussian elimination instead of
+fraction-free), so exact agreement between the two is meaningful evidence.
 """
 
 from collections import deque
@@ -93,6 +94,28 @@ def cofactor_charpoly(mat):
     ]
     out = poly_det(entries)
     return out + [0] * (n + 1 - len(out))
+
+
+def faddeev_leverrier_charpoly(mat):
+    """det(xI - mat) as ascending coefficients, by the Faddeev-LeVerrier
+    trace recurrence: with M_1 = I and M_{k+1} = mat M_k + c_{n-k} I, the
+    coefficient c_{n-k} = -tr(mat M_k) / k, a division exact over the
+    integers (asserted).  O(n^4) on growing integers."""
+    n = len(mat)
+    coeffs = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        t = sum(mat[i][j] * m[j][i] for i in range(n) for j in range(n))
+        assert t % k == 0, (t, k)
+        coeffs[n - k] = -t // k
+        if k < n:
+            m = [
+                [sum(mat[i][s] * m[s][j] for s in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            for i in range(n):
+                m[i][i] += coeffs[n - k]
+    return coeffs
 
 
 def fraction_rank(mat):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from lapfam import Check, VerifyReport, dimension_search, resolver_graph
+from lapfam import Check, VerifyReport, char_poly, dimension_search, laplacian, resolver_graph
 from lapfam import cli
 from lapfam.cli import FamilySpec, main, parse_family_spec
 
@@ -153,7 +153,9 @@ class TestSpectrum:
             "distinct",
             "realizes_S",
             "residual_degree",
+            "moduli",
         }
+        assert payload["moduli"] == char_poly(laplacian(resolver_graph(3, 3))).moduli
 
 
 class TestDimension:

@@ -1,10 +1,16 @@
+from itertools import combinations
+from math import isqrt, prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lapfam import char_poly, linalg
+from lapfam import char_poly, laplacian, linalg, resolver_graph
 from lapfam.linalg import (
+    MR_LIMIT,
+    hadamard_bound,
     identity,
+    is_prime,
     mat_mul,
     mat_vec,
     nullity,
@@ -13,7 +19,13 @@ from lapfam.linalg import (
     rank,
     trace,
 )
-from helpers import cofactor_charpoly, fraction_rank, poly_mul
+from helpers import (
+    cofactor_charpoly,
+    faddeev_leverrier_charpoly,
+    fraction_rank,
+    graphs,
+    poly_mul,
+)
 
 
 def square_matrices(max_n=5, lo=-5, hi=5):
@@ -86,6 +98,117 @@ class TestCharPoly:
         n = len(m)
         assert coeffs[n] == 1
         assert coeffs[n - 1] == -trace(m)
+
+
+def minor_sum_bounds(m):
+    """e_j(r_1..r_n) for j = 0..n, r_i the ceiling of row i's 2-norm, by
+    summing over every j-subset of rows."""
+    norms = []
+    for row in m:
+        s = sum(x * x for x in row)
+        r = isqrt(s)
+        norms.append(r + 1 if r * r < s else r)
+    return [
+        sum(prod(norms[i] for i in rows) for rows in combinations(range(len(m)), j))
+        for j in range(len(m) + 1)
+    ]
+
+
+def moduli_used(cp):
+    return linalg._primes[: cp.moduli]
+
+
+class TestModularCharPoly:
+    @settings(max_examples=80, deadline=None)
+    @given(m=square_matrices(max_n=10, lo=-(10**4), hi=10**4))
+    def test_matches_faddeev_leverrier(self, m):
+        assert char_poly(m) == faddeev_leverrier_charpoly(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs(max_n=12))
+    def test_laplacians_match_faddeev_leverrier(self, g):
+        lap = laplacian(g)
+        assert char_poly(lap) == faddeev_leverrier_charpoly(lap)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=square_matrices(max_n=8, lo=-50, hi=50))
+    def test_coefficients_within_hadamard_bound(self, m):
+        n = len(m)
+        bounds = minor_sum_bounds(m)
+        coeffs = char_poly(m)
+        for j in range(n + 1):
+            assert abs(coeffs[n - j]) <= bounds[j]
+        assert hadamard_bound(m) == max(bounds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=square_matrices(max_n=10, lo=-(10**4), hi=10**4))
+    def test_moduli_are_the_fewest_certified_primes_past_twice_the_bound(self, m):
+        cp = char_poly(m)
+        primes = moduli_used(cp)
+        assert len(primes) == cp.moduli >= 1
+        assert all(is_prime(p) and p < 2**78 < MR_LIMIT for p in primes)
+        assert primes == sorted(set(primes), reverse=True)
+        bound = hadamard_bound(m)
+        assert prod(primes) > 2 * bound >= prod(primes[:-1])
+
+    @pytest.mark.parametrize("c", [24, 32])
+    def test_gap_spectrum_closed_form(self, c):
+        # gplus:2,c has Laplacian spectrum {0..2c+1} \ {c+1}, all simple
+        want = [1]
+        for lam in range(2 * c + 2):
+            if lam != c + 1:
+                want = poly_mul(want, [-lam, 1])
+        cp = char_poly(laplacian(resolver_graph(2, c)))
+        assert cp == want
+        assert cp.moduli >= 3
+
+    def test_result_is_a_plain_coefficient_list(self):
+        cp = char_poly([[2, -1], [-1, 2]])
+        assert isinstance(cp, list) and cp == [3, -4, 1]
+        assert cp.moduli == 1
+        assert char_poly([]).moduli == 1
+
+
+class TestIsPrime:
+    def test_matches_trial_division_below_20000(self):
+        def trial(n):
+            return n >= 2 and all(n % q for q in range(2, isqrt(n) + 1))
+
+        assert [n for n in range(20000) if is_prime(n)] == [
+            n for n in range(20000) if trial(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+            3825123056546413051,  # strong pseudoprime to bases 2..31
+            318665857834031151167461,  # strong pseudoprime to bases 2..37
+            2**67 - 1,  # 193707721 * 761838257287, no factor below 41
+        ],
+    )
+    def test_rejects_composites(self, n):
+        assert not is_prime(n)
+
+    def test_accepts_large_primes(self):
+        assert is_prime(2**61 - 1)
+        assert is_prime(2**31 - 1)
+
+    def test_limit_fools_every_base(self):
+        # MR_LIMIT is composite yet passes the strong test to all 13 bases,
+        # so the test alone would misjudge it.
+        assert MR_LIMIT % 1287836182261 == 0
+        n, s = MR_LIMIT - 1, 0
+        while n % 2 == 0:
+            n, s = n // 2, s + 1
+        for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+            powers = [pow(a, n << r, MR_LIMIT) for r in range(s)]
+            assert powers[0] == 1 or MR_LIMIT - 1 in powers
+
+    @pytest.mark.parametrize("n", [MR_LIMIT, MR_LIMIT + 2, 2**89 - 1])
+    def test_refuses_at_or_above_the_proven_limit(self, n):
+        with pytest.raises(ValueError):
+            is_prime(n)
 
 
 class TestPolyEval:

@@ -100,6 +100,7 @@ class TestIntegralSpectrum:
         assert spec.charpoly[n] == 1
         assert spec.charpoly[0] == 0  # 0 is always a Laplacian eigenvalue
         assert list(spec.charpoly) == char_poly(lap)
+        assert spec.moduli == char_poly(lap).moduli
 
 
 def pairs_and_residual(spec):
