@@ -58,7 +58,6 @@ from .metric import (
 )
 from .spectra import (
     EigenpairReport,
-    NonIntegralResidue,
     Spectrum,
     VerificationError,
     edge_partition_sums,
@@ -81,7 +80,6 @@ __all__ = [
     "DisconnectedGraphError",
     "EigenpairReport",
     "Graph",
-    "NonIntegralResidue",
     "Resolver",
     "SearchExhausted",
     "SearchResult",

@@ -32,7 +32,7 @@ from .families import (
 from .formats import read_graph_auto, write_dot, write_edgelist, write_graph6
 from .graphs import Graph
 from .metric import SearchExhausted, dimension_search
-from .spectra import Spectrum, integral_spectrum, laplacian
+from .spectra import integral_spectrum, laplacian
 from .verify import run_verify
 
 _CONSTRUCTIONS = ("direct", "iterative", "indexed")
@@ -132,19 +132,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     spec = integral_spectrum(laplacian(g))
-    integral = isinstance(spec, Spectrum)
-    pairs = spec.pairs if integral else spec.partial_pairs
     payload = {
         "n": g.n,
         "edges": g.edge_count,
         "charpoly": [str(coeff) for coeff in spec.charpoly],
         "eigenvalues": [
-            {"value": str(lam), "multiplicity": mult} for lam, mult in pairs
+            {"value": str(lam), "multiplicity": mult} for lam, mult in spec.pairs
         ],
-        "integral": integral,
-        "distinct": integral and spec.distinct,
-        "realizes_S": spec.gap if integral else None,
-        "residual_degree": 0 if integral else spec.degree,
+        "integral": spec.integral,
+        "distinct": spec.distinct,
+        "realizes_S": spec.gap,
+        "residual_degree": spec.residual_degree,
         "moduli": spec.moduli,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

@@ -8,6 +8,7 @@ Theory", Alg. 2.2.9); the residues are joined by CRT, and Hadamard's
 inequality fixes in advance how many primes make the symmetric lift exact.
 Rank uses Bareiss one-step fraction-free elimination with first-nonzero
 pivoting (every division is by the previous pivot and is exact; asserted).
+The module holds only what the library calls.
 """
 
 from __future__ import annotations
@@ -19,36 +20,10 @@ from typing import Sequence
 IntMatrix = list[list[int]]
 
 
-def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> IntMatrix:
-    n, k = len(a), len(b)
-    if n and len(a[0]) != k:
-        raise ValueError("inner dimensions differ")
-    cols = len(b[0]) if k else 0
-    out = [[0] * cols for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            ait = ai[t]
-            if ait:
-                bt = b[t]
-                for j in range(cols):
-                    oi[j] += ait * bt[j]
-    return out
-
-
 def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     if len(a) and len(a[0]) != len(x):
         raise ValueError("dimension mismatch")
     return [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
-
-
-def trace(a: Sequence[Sequence[int]]) -> int:
-    return sum(a[i][i] for i in range(len(a)))
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -204,8 +179,3 @@ def rank(a: Sequence[Sequence[int]]) -> int:
         if r == nrows:
             break
     return r
-
-
-def nullity(a: Sequence[Sequence[int]]) -> int:
-    ncols = len(a[0]) if len(a) else 0
-    return ncols - rank(a)

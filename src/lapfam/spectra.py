@@ -7,7 +7,8 @@ integer eigenvectors falling into four classes indexed by r = 0..2c.
 spectrum exactly: Laplacian eigenvalues lie in [0, n], so dividing the
 characteristic polynomial by x - lam for the integer candidates 0..n
 finds the whole integral part, and as L is symmetric each root's
-multiplicity is dim ker(L - lam*I); what remains is reported by degree only.
+multiplicity is dim ker(L - lam*I); what remains is reported by degree
+only, as the ``residual_degree`` of the one ``Spectrum`` result.
 
 A graph on n vertices *realizes the gap spectrum at i* when its Laplacian
 spectrum is exactly {0..n} \\ {i} with every eigenvalue simple.
@@ -36,39 +37,36 @@ class VerificationError(Exception):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Fully integral Laplacian spectrum: (eigenvalue, multiplicity) pairs,
-    eigenvalues descending, plus the monic characteristic polynomial
-    (coefficients by ascending degree) and the number of primes it took."""
+    """Integral part of a Laplacian spectrum: (eigenvalue, multiplicity)
+    pairs, eigenvalues descending; the degree of the non-integral factor
+    left over (0 when the spectrum is integral); the monic characteristic
+    polynomial (coefficients by ascending degree) and the number of primes
+    it took."""
 
     pairs: tuple[tuple[int, int], ...]
+    residual_degree: int
     charpoly: tuple[int, ...]
     moduli: int
 
     @property
+    def integral(self) -> bool:
+        return self.residual_degree == 0
+
+    @property
     def eigenvalues(self) -> tuple[int, ...]:
-        """Eigenvalues with repetition, descending."""
+        """Integral eigenvalues with repetition, descending."""
         return tuple(lam for lam, mult in self.pairs for _ in range(mult))
 
     @property
     def distinct(self) -> bool:
-        return all(mult == 1 for _, mult in self.pairs)
+        """Integral, with every eigenvalue simple."""
+        return self.integral and all(mult == 1 for _, mult in self.pairs)
 
     @property
     def gap(self) -> int | None:
         """i if the spectrum is {0..n} \\ {i}, all simple; else None."""
         missing = set(range(len(self.charpoly))) - set(self.eigenvalues)
         return missing.pop() if self.distinct else None
-
-
-@dataclass(frozen=True)
-class NonIntegralResidue:
-    """Outcome when the spectrum is not fully integral: the degree of the
-    non-integral factor, plus whatever integral part was found."""
-
-    degree: int
-    partial_pairs: tuple[tuple[int, int], ...]
-    charpoly: tuple[int, ...]
-    moduli: int
 
 
 @dataclass(frozen=True)
@@ -87,13 +85,13 @@ def laplacian(g: Graph) -> IntMatrix:
     ]
 
 
-def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum | NonIntegralResidue:
+def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum:
     """Integral eigenvalues of a Laplacian with exact multiplicities.
 
     The multiplicity of each candidate lam in n..0 is the number of times
     x - lam divides the characteristic polynomial; L is symmetric, so this
-    equals dim ker(L - lam*I).  Returns a Spectrum when the multiplicities
-    account for all n eigenvalues, otherwise a NonIntegralResidue.
+    equals dim ker(L - lam*I).  The degree of what is left after the
+    divisions is the residual degree.
     """
     found = linalg.char_poly(lap)
     cp = rest = tuple(found)
@@ -105,9 +103,7 @@ def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum | NonIntegralRes
             mult += 1
         if mult:
             pairs.append((lam, mult))
-    if len(rest) == 1:
-        return Spectrum(tuple(pairs), cp, found.moduli)
-    return NonIntegralResidue(len(rest) - 1, tuple(pairs), cp, found.moduli)
+    return Spectrum(tuple(pairs), len(rest) - 1, cp, found.moduli)
 
 
 def eigenvalue_of_class(c: int, r: int) -> int:
@@ -215,8 +211,7 @@ def realizes_gap_spectrum(g: Graph, i: int) -> bool:
     """True iff the Laplacian spectrum of g is {0..n} \\ {i}, all simple."""
     if not 0 <= i <= g.n:
         raise ValueError(f"excluded value {i} out of range 0..{g.n}")
-    spec = integral_spectrum(laplacian(g))
-    return isinstance(spec, Spectrum) and spec.gap == i
+    return integral_spectrum(laplacian(g)).gap == i
 
 
 def realizability_step(h: Graph, i_prev: int, n_prev: int) -> Graph:

@@ -44,8 +44,6 @@ from .metric import (
     outer_multiset_dimension,
 )
 from .spectra import (
-    NonIntegralResidue,
-    Spectrum,
     edge_partition_sums,
     eigenvalue_of_class,
     eigenvector_family,
@@ -238,7 +236,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         for c in range(1, cmax + 1):
             g = resolver_graph_indexed(c)
             spec = integral_spectrum(laplacian(g))
-            _require(isinstance(spec, Spectrum), f"non-integral spectrum c={c}")
+            _require(spec.integral, f"non-integral spectrum c={c}")
             expected = tuple(
                 (lam, 1) for lam in range(2 * c + 1, -1, -1) if lam != c + 1
             )
@@ -372,8 +370,8 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         outcomes = []
         for d, c in ((3, 1), (3, 2), (3, 3), (4, 2)):
             spec = integral_spectrum(laplacian(resolver_graph(d, c)))
-            if isinstance(spec, NonIntegralResidue):
-                outcomes.append(f"(d={d},c={c}): {spec.degree} non-integral")
+            if spec.residual_degree:
+                outcomes.append(f"(d={d},c={c}): {spec.residual_degree} non-integral")
             else:
                 outcomes.append(f"(d={d},c={c}): integral")
         return "alphabets above 2 stay out of scope; " + "; ".join(outcomes)

@@ -114,6 +114,7 @@ class TestSpectrum:
         # gplus:3,1 is the 4-vertex path
         payload = run_json(capsys, "spectrum", "gplus:3,1")
         assert payload["integral"] is False
+        assert payload["distinct"] is False
         assert payload["residual_degree"] == 2
         assert payload["realizes_S"] is None
         values = [int(e["value"]) for e in payload["eigenvalues"]]

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from lapfam import (
     Graph,
-    NonIntegralResidue,
-    Spectrum,
     VerificationError,
     char_poly,
     edge_partition_sums,
@@ -49,7 +47,7 @@ class TestLaplacian:
 class TestIntegralSpectrum:
     def test_path_three(self):
         spec = integral_spectrum(laplacian(Graph.path(3)))
-        assert isinstance(spec, Spectrum)
+        assert spec.integral
         assert spec.pairs == ((3, 1), (1, 1), (0, 1))
         assert spec.eigenvalues == (3, 1, 0)
         assert spec.distinct
@@ -63,9 +61,10 @@ class TestIntegralSpectrum:
     def test_path_four_residue(self):
         # eigenvalues are 0, 2, 2 +- sqrt(2)
         spec = integral_spectrum(laplacian(Graph.path(4)))
-        assert isinstance(spec, NonIntegralResidue)
-        assert spec.degree == 2
-        assert spec.partial_pairs == ((2, 1), (0, 1))
+        assert not spec.integral
+        assert spec.residual_degree == 2
+        assert spec.pairs == ((2, 1), (0, 1))
+        assert not spec.distinct and spec.gap is None
 
     def test_no_edges(self):
         spec = integral_spectrum(laplacian(Graph(2)))
@@ -73,23 +72,21 @@ class TestIntegralSpectrum:
 
     def test_kernel_counts_components(self, corpus_graph):
         spec = integral_spectrum(laplacian(corpus_graph))
-        pairs = spec.pairs if isinstance(spec, Spectrum) else spec.partial_pairs
-        mult0 = dict(pairs).get(0, 0)
+        mult0 = dict(spec.pairs).get(0, 0)
         assert mult0 == component_count(corpus_graph)
 
     def test_trace_identity(self, corpus_graph):
         spec = integral_spectrum(laplacian(corpus_graph))
-        if isinstance(spec, Spectrum):
+        if spec.integral:
             total = sum(lam * mult for lam, mult in spec.pairs)
             assert total == 2 * corpus_graph.edge_count
 
     def test_charpoly_vanishes_at_found_eigenvalues(self, corpus_graph):
         spec = integral_spectrum(laplacian(corpus_graph))
-        pairs = spec.pairs if isinstance(spec, Spectrum) else spec.partial_pairs
-        for lam, _ in pairs:
+        for lam, _ in spec.pairs:
             assert poly_eval(list(spec.charpoly), lam) == 0
         for lam in range(corpus_graph.n + 1):
-            if lam not in dict(pairs):
+            if lam not in dict(spec.pairs):
                 assert poly_eval(list(spec.charpoly), lam) != 0
 
     def test_charpoly_shape(self, corpus_graph):
@@ -104,9 +101,7 @@ class TestIntegralSpectrum:
 
 
 def pairs_and_residual(spec):
-    if isinstance(spec, Spectrum):
-        return spec.pairs, 0
-    return spec.partial_pairs, spec.degree
+    return spec.pairs, spec.residual_degree
 
 
 class TestAgainstNullitySweep:
@@ -139,7 +134,6 @@ class TestAgainstNullitySweep:
             return real(mat)
 
         monkeypatch.setattr(spectra.linalg, "char_poly", counting)
-        monkeypatch.setattr(spectra.linalg, "nullity", None)
         integral_spectrum(laplacian(resolver_graph(2, 3)))
         assert len(calls) == 1
 
@@ -159,7 +153,11 @@ class TestGapProperty:
     @given(g=graphs(max_n=7))
     def test_matches_explicit_rule(self, g):
         spec = integral_spectrum(laplacian(g))
-        if not isinstance(spec, Spectrum):
+        if not spec.integral:
+            assert spec.gap is None
+            assert not spec.distinct
+            for i in range(g.n + 1):
+                assert not realizes_gap_spectrum(g, i)
             return
         simple_gaps = [
             i
