@@ -9,9 +9,10 @@ with construction one of direct, iterative, indexed (the latter two are
 defined for d = 2 only).  Commands that accept a graph also take a file
 path holding graph6 or csv edge-list data.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Unbounded
-integers in JSON output (characteristic polynomial coefficients,
-eigenvalues) are decimal strings so exactness survives serialization.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an input
+too large for memory.  Unbounded integers in JSON output (characteristic
+polynomial coefficients, eigenvalues) are decimal strings so exactness
+survives serialization.
 """
 
 from __future__ import annotations
@@ -256,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"lapfam: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("lapfam: error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -39,14 +39,28 @@ def expected_orders(d: int, c: int) -> tuple[int, int]:
 
 
 def combination_graph(d: int, c: int) -> Graph:
-    """Base family member: labels in lexicographic order, edges by |x_i - y_i| <= 1."""
+    """Base family member: labels in lexicographic order, edges by |x_i - y_i| <= 1.
+
+    Built from bitsets: near[k][t] holds the vertices whose k-th entry lies
+    within 1 of t, so a vertex's neighbourhood is the AND of its c masks,
+    O(n*c) big-int operations instead of O(n^2*c) label comparisons.
+    """
     labels = combination_labels(d, c)
-    edges = [
-        (i, j)
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if all(abs(a - b) <= 1 for a, b in zip(labels[i].seq, labels[j].seq))
-    ]
+    near = [[0] * (d + 2) for _ in range(c)]
+    for v, label in enumerate(labels):
+        for k, t in enumerate(label.seq):
+            near[k][t - 1] |= 1 << v
+            near[k][t] |= 1 << v
+            near[k][t + 1] |= 1 << v
+    edges = []
+    for v, label in enumerate(labels):
+        mask = -1 << (v + 1)  # neighbours above v
+        for k, t in enumerate(label.seq):
+            mask &= near[k][t]
+        while mask:
+            low = mask & -mask
+            edges.append((v, low.bit_length() - 1))
+            mask ^= low
     return Graph(len(labels), edges, labels)
 
 

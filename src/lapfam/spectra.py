@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from . import linalg
@@ -168,25 +169,42 @@ def verify_eigenpairs(c: int) -> EigenpairReport:
     return EigenpairReport(c=c, n=n, eigenvalues=tuple(eigenvalues), rank=rk)
 
 
+def _cleared(x: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """x scaled by the lcm of its denominators, as ints, and that scale
+    (1 for integer input)."""
+    fracs = [Fraction(v) for v in x]
+    scale = lcm(*(v.denominator for v in fracs))
+    return [v.numerator * (scale // v.denominator) for v in fracs], scale
+
+
 def rayleigh(lap: Sequence[Sequence[int]], x: Sequence[int | Fraction]) -> Fraction:
     """Exact Rayleigh quotient (x^T L x) / (x^T x).
 
     Also evaluated as sum over edges of (x_i - x_j)^2 divided by the square
-    norm; the two routes must agree exactly.
+    norm; the two routes must agree exactly.  Both sums run in integers on
+    x scaled to clear its denominators, which leaves the quotient unchanged.
     """
     n = len(lap)
     if len(x) != n:
         raise ValueError(f"vector length {len(x)} != {n}")
-    xs = [Fraction(v) for v in x]
+    xs, scale = _cleared(x)
     norm2 = sum(v * v for v in xs)
     if norm2 == 0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    quad = sum(xs[i] * lap[i][j] * xs[j] for i in range(n) for j in range(n))
+    quad = sum(
+        xi * sum(a * xj for a, xj in zip(row, xs) if a) for xi, row in zip(xs, lap)
+    )
     edge_sum = sum(
-        -lap[i][j] * (xs[i] - xs[j]) ** 2 for i in range(n) for j in range(i + 1, n)
+        -a * (xi - xj) ** 2
+        for i, (xi, row) in enumerate(zip(xs, lap))
+        for a, xj in zip(row[i + 1 :], xs[i + 1 :])
+        if a
     )
     if quad != edge_sum:
-        raise ArithmeticError(f"quadratic form {quad} != edge sum {edge_sum}")
+        sq = scale * scale
+        raise ArithmeticError(
+            f"quadratic form {Fraction(quad, sq)} != edge sum {Fraction(edge_sum, sq)}"
+        )
     return Fraction(quad, norm2)
 
 
@@ -200,9 +218,10 @@ def edge_partition_sums(c: int, x: Sequence[int | Fraction]) -> list[Fraction]:
     n = 2 * c + 1
     if len(x) != n:
         raise ValueError(f"vector length {len(x)} != {n}")
-    xs = [Fraction(v) for v in x]
+    xs, scale = _cleared(x)
+    sq = scale * scale
     return [
-        sum((xs[h - 1] - xs[j - 1]) ** 2 for j in range(h + 1, 2 * c + 2 - h + 1))
+        Fraction(sum((xs[h - 1] - xj) ** 2 for xj in xs[h : 2 * c + 2 - h]), sq)
         for h in range(1, c + 1)
     ]
 

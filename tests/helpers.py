@@ -4,7 +4,9 @@ Everything here recomputes library results by a deliberately different
 route (deque BFS instead of bitset BFS; cofactor expansion and the
 Faddeev-LeVerrier trace recurrence over the integers instead of Hessenberg
 reduction modulo primes; rational Gaussian elimination instead of
-fraction-free), so exact agreement between the two is meaningful evidence.
+fraction-free; Fraction sums instead of denominator-cleared integer sums;
+pairwise label comparison instead of bitset intersection), so exact
+agreement between the two is meaningful evidence.
 """
 
 from collections import deque
@@ -13,7 +15,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from lapfam import Graph
+from lapfam import Graph, combination_labels
 
 
 def naive_distances(g, source):
@@ -176,6 +178,50 @@ def naive_dimension(g, kind, max_size=None):
 def naive_outer_dimension(g):
     """Smallest outer multiset resolving set by full enumeration."""
     return naive_dimension(g, "outer")
+
+
+def fraction_rayleigh(lap, x):
+    """(x^T L x) / (x^T x) in Fraction arithmetic over the dense form, with
+    the edge-sum route required to agree (ArithmeticError otherwise)."""
+    n = len(lap)
+    if len(x) != n:
+        raise ValueError(f"vector length {len(x)} != {n}")
+    xs = [Fraction(v) for v in x]
+    norm2 = sum(v * v for v in xs)
+    if norm2 == 0:
+        raise ValueError("Rayleigh quotient of the zero vector is undefined")
+    quad = sum(xs[i] * lap[i][j] * xs[j] for i in range(n) for j in range(n))
+    edge_sum = sum(
+        -lap[i][j] * (xs[i] - xs[j]) ** 2 for i in range(n) for j in range(i + 1, n)
+    )
+    if quad != edge_sum:
+        raise ArithmeticError(f"quadratic form {quad} != edge sum {edge_sum}")
+    return Fraction(quad, norm2)
+
+
+def fraction_edge_partition_sums(c, x):
+    """Band sums N_h = sum over j = h+1..2c+2-h of (x_h - x_j)^2, 1-based, in
+    Fraction arithmetic."""
+    n = 2 * c + 1
+    if len(x) != n:
+        raise ValueError(f"vector length {len(x)} != {n}")
+    xs = [Fraction(v) for v in x]
+    return [
+        sum((xs[h - 1] - xs[j - 1]) ** 2 for j in range(h + 1, 2 * c + 2 - h + 1))
+        for h in range(1, c + 1)
+    ]
+
+
+def pairwise_combination_graph(d, c):
+    """G(d, c) by testing every label pair against |x_i - y_i| <= 1."""
+    labels = combination_labels(d, c)
+    edges = [
+        (i, j)
+        for i in range(len(labels))
+        for j in range(i + 1, len(labels))
+        if all(abs(a - b) <= 1 for a, b in zip(labels[i].seq, labels[j].seq))
+    ]
+    return Graph(len(labels), edges, labels)
 
 
 @st.composite

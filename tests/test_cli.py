@@ -256,6 +256,19 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "spectrum", str(graph_file))
         assert code == 2
 
+    def test_out_of_memory_is_exit_2(self, capsys, monkeypatch, tmp_path):
+        # The loader raises as an oversized file would, without allocating.
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "read_graph_auto", exhausted)
+        graph_file = tmp_path / "big.csv"
+        graph_file.write_text("u,v\n1,300000000\n")
+        code, out, err = run_cli(capsys, "spectrum", str(graph_file))
+        assert code == 2
+        assert out == ""
+        assert err == "lapfam: error: out of memory\n"
+
     def test_unknown_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "g:1,1", "--format", "png"])

@@ -19,6 +19,7 @@ from lapfam import (
     resolver_graph_iterative,
     resolver_graph_step,
 )
+from helpers import pairwise_combination_graph
 
 
 class TestLabelsAndOrders:
@@ -78,6 +79,16 @@ class TestBaseGraph:
                     abs(a - b) <= 1 for a, b in zip(g.labels[u].seq, g.labels[v].seq)
                 )
                 assert g.adjacent(u, v) == want
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_matches_pairwise_oracle(self, d, c):
+        g = combination_graph(d, c)
+        want = pairwise_combination_graph(d, c)
+        assert g.labels == want.labels
+        assert [g.neighbor_mask(v) for v in range(g.n)] == [
+            want.neighbor_mask(v) for v in range(want.n)
+        ]
 
 
 class TestResolverGraph:

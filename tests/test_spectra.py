@@ -22,7 +22,20 @@ from lapfam import (
 )
 from lapfam import spectra
 from lapfam.linalg import poly_eval
-from helpers import component_count, connected_graphs, graphs, nullity_sweep_spectrum
+from helpers import (
+    component_count,
+    connected_graphs,
+    fraction_edge_partition_sums,
+    fraction_rayleigh,
+    graphs,
+    nullity_sweep_spectrum,
+)
+
+# Exact rationals with assorted denominators, mixed with plain ints.
+rationals = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
 
 
 class TestLaplacian:
@@ -256,6 +269,24 @@ class TestRayleigh:
         rho = rayleigh(laplacian(g), x)
         assert 0 <= rho <= g.n
 
+    def test_non_laplacian_routes_disagree(self):
+        # x^T I x = 2 while the off-diagonal edge sum is 0
+        with pytest.raises(ArithmeticError, match="quadratic form 2 != edge sum 0"):
+            rayleigh([[1, 0], [0, 1]], (1, 1))
+
+    def test_disagreement_reported_unscaled(self):
+        with pytest.raises(ArithmeticError, match="quadratic form 1/2 != edge sum 0"):
+            rayleigh([[1, 0], [0, 1]], (Fraction(1, 2), Fraction(1, 2)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=graphs(max_n=8), data=st.data())
+    def test_matches_fraction_oracle(self, g, data):
+        x = data.draw(
+            st.lists(rationals, min_size=g.n, max_size=g.n).filter(lambda v: any(v))
+        )
+        lap = laplacian(g)
+        assert rayleigh(lap, x) == fraction_rayleigh(lap, x)
+
 
 class TestEdgePartition:
     def test_length_mismatch(self):
@@ -272,6 +303,16 @@ class TestEdgePartition:
         xs = [Fraction(v) for v in x]
         quad = sum(xs[i] * lap[i][j] * xs[j] for i in range(n) for j in range(n))
         assert sum(edge_partition_sums(c, x)) == quad
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_fraction_oracle(self, c, data):
+        n = 2 * c + 1
+        x = data.draw(st.lists(rationals, min_size=n, max_size=n))
+        got = edge_partition_sums(c, x)
+        assert got == fraction_edge_partition_sums(c, x)
+        assert all(type(band) is Fraction for band in got)
 
 
 class TestGapSpectrum:
