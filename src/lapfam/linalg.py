@@ -1,11 +1,11 @@
 """Exact dense linear algebra over arbitrary-precision integers.
 
 Matrices are lists of row lists.  Nothing here ever touches floating
-point.  The characteristic polynomial is computed modulo word-size primes,
-each certified by deterministic Miller-Rabin below its proven limit, by
-Hessenberg reduction (Cohen, "A Course in Computational Algebraic Number
-Theory", Alg. 2.2.9); the residues are joined by CRT, and Hadamard's
-inequality fixes in advance how many primes make the symmetric lift exact.
+point.  The characteristic polynomial is computed by Hessenberg reduction
+(Cohen, "A Course in Computational Algebraic Number Theory", Alg. 2.2.9)
+modulo a product of word-size primes, each certified by deterministic
+Miller-Rabin below its proven limit; Hadamard's inequality fixes in advance
+how many primes make the symmetric lift exact.
 Rank uses Bareiss one-step fraction-free elimination with first-nonzero
 pivoting (every division is by the previous pivot and is exact; asserted).
 The module holds only what the library calls.
@@ -13,7 +13,7 @@ The module holds only what the library calls.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import Sequence
 
@@ -79,61 +79,76 @@ def hadamard_bound(a: Sequence[Sequence[int]]) -> int:
     return max(e)
 
 
-def _char_poly_mod(a: Sequence[Sequence[int]], p: int) -> list[int]:
-    """det(xI - A) mod p: reduce A to upper Hessenberg form H by similarity,
-    then p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1} p_i
-    over the characteristic polynomials p_k of H's leading k x k blocks."""
+def _char_poly_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int:
+    """det(xI - A) mod a squarefree q: reduce A to upper Hessenberg form H by
+    similarity, then p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1} p_i
+    over the characteristic polynomials p_k of H's leading k x k blocks.
+    Both steps hold over Z/qZ while every pivot is a unit; at the first
+    non-zero pivot that is not, the proper factor gcd(pivot, q) of q is
+    returned instead of the coefficient list."""
     n = len(a)
-    h = [[x % p for x in row] for row in a]
+    h = [[x % q for x in row] for row in a]
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
             continue
-        h[m], h[piv] = h[piv], h[m]
-        for row in h:
-            row[m], row[piv] = row[piv], row[m]
-        top, inv = h[m], pow(h[m][m - 1], -1, p)
-        mults = [h[i][m - 1] * inv % p for i in range(m + 1, n)]
+        g = gcd(h[piv][m - 1], q)
+        if g > 1:
+            return g
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        top, inv = h[m], pow(h[m][m - 1], -1, q)
+        mults = [h[i][m - 1] * inv % q for i in range(m + 1, n)]
         for i, u in enumerate(mults, m + 1):
             if u:
-                h[i][m - 1 :] = [(x - u * y) % p for x, y in zip(h[i][m - 1 :], top[m - 1 :])]
+                h[i][m - 1 :] = [(x - u * y) % q for x, y in zip(h[i][m - 1 :], top[m - 1 :])]
         for row in h:  # complete the similarity: column m += u_i * column i
-            row[m] = (row[m] + sum(map(mul, mults, row[m + 1 :]))) % p
+            row[m] = (row[m] + sum(map(mul, mults, row[m + 1 :]))) % q
     polys = [[1]]
     for k in range(n):
         acc, t = [0] + polys[k], 1  # t = h_{i+1,i} ... h_{k,k-1}
         for i in range(k, -1, -1):
-            coef = h[i][k] * t % p
+            coef = h[i][k] * t % q
             if coef:
                 acc[: i + 1] = [x - coef * c for x, c in zip(acc, polys[i])]
-            t = t * h[i][i - 1] % p
-        polys.append([x % p for x in acc])
+            t = t * h[i][i - 1] % q
+        polys.append([x % q for x in acc])
     return polys[n]
 
 
 def char_poly(a: Sequence[Sequence[int]]) -> CharPoly:
     """Characteristic polynomial det(xI - A) of an integer matrix, exactly,
-    by ascending degree: residues modulo the primes below 2**78, joined by
-    CRT and lifted to the symmetric range (-M/2, M/2].  The primes are taken
-    until their product M exceeds twice ``hadamard_bound(a)``, so the lift
-    is exact.  O(n^3) operations per prime.
+    by ascending degree, lifted to the symmetric range (-M/2, M/2] from its
+    residues modulo M, the product of the fewest primes below 2**78 that
+    exceeds twice ``hadamard_bound(a)``, so the lift is exact.  One O(n^3)
+    pass modulo M; a pivot sharing a factor with the modulus splits it by
+    gcd, and the residues modulo the parts are joined by CRT.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     bound = hadamard_bound(a)
-    coeffs, modulus, k = [0] * (n + 1), 1, 0
+    modulus, k = 1, 0
     while modulus <= 2 * bound:
         while len(_primes) <= k:  # find the next certified prime below 2**78
-            q = (_primes[-1] if _primes else (1 << 78) + 1) - 2
-            while not is_prime(q):
-                q -= 2
-            _primes.append(q)
-        p = _primes[k]
-        inv = pow(modulus, -1, p)
-        coeffs = [x + modulus * ((r - x) * inv % p) for x, r in zip(coeffs, _char_poly_mod(a, p))]
-        modulus, k = modulus * p, k + 1
-    assert modulus > 2 * bound and all(p < MR_LIMIT for p in _primes[:k])
+            p = (_primes[-1] if _primes else (1 << 78) + 1) - 2
+            while not is_prime(p):
+                p -= 2
+            _primes.append(p)
+        modulus, k = modulus * _primes[k], k + 1
+    coeffs, joined, work = [0] * (n + 1), 1, [modulus]
+    while work:  # squarefree, pairwise coprime; with `joined`, their product is M
+        q = work.pop()
+        res = _char_poly_mod(a, q)
+        if isinstance(res, int):
+            work += [res, q // res]
+            continue
+        inv = pow(joined, -1, q)
+        coeffs = [x + joined * ((r - x) * inv % q) for x, r in zip(coeffs, res)]
+        joined *= q
+    assert joined == modulus > 2 * bound and all(p < MR_LIMIT for p in _primes[:k])
     return CharPoly([x - modulus if 2 * x > modulus else x for x in coeffs], k)
 
 

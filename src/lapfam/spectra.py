@@ -79,11 +79,14 @@ class EigenpairReport:
 
 
 def laplacian(g: Graph) -> IntMatrix:
-    """Degree matrix minus adjacency matrix."""
-    return [
-        [g.degree(i) if i == j else -int(g.adjacent(i, j)) for j in range(g.n)]
-        for i in range(g.n)
-    ]
+    """Degree matrix minus adjacency matrix, one row per neighbourhood mask."""
+    out = []
+    for i in range(g.n):
+        mask = g.neighbor_mask(i)
+        row = [-(mask >> j & 1) for j in range(g.n)]
+        row[i] = mask.bit_count()
+        out.append(row)
+    return out
 
 
 def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum:

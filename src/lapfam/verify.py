@@ -158,17 +158,19 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
                 g = combination_graph(d, c)
                 labels = g.labels
                 dist = all_pairs_distances(g)
+                cols = list(zip(*(label.seq for label in labels)))
                 for u in range(g.n):
-                    for v in range(u + 1, g.n):
-                        want = max(
-                            abs(a - b) for a, b in zip(labels[u].seq, labels[v].seq)
+                    # max coordinate gap from u to each later vertex
+                    gaps = [[abs(col[u] - y) for y in col[u + 1 :]] for col in cols]
+                    want = list(map(max, *gaps)) if len(gaps) > 1 else gaps[0]
+                    got = dist[u][u + 1 :]
+                    if got != want:
+                        v = next(v for v, w, x in zip(range(u + 1, g.n), want, got) if w != x)
+                        raise AssertionError(
+                            f"d={d} c={c}: dist({labels[u]},{labels[v]}) = "
+                            f"{dist[u][v]} != {want[v - u - 1]}"
                         )
-                        if dist[u][v] != want:
-                            raise AssertionError(
-                                f"d={d} c={c}: dist({labels[u]},{labels[v]}) = "
-                                f"{dist[u][v]} != {want}"
-                            )
-                        pairs += 1
+                    pairs += len(want)
         return f"BFS distance equals max coordinate gap on {pairs} pairs"
 
     def diameter_radius() -> str:

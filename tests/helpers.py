@@ -2,11 +2,13 @@
 
 Everything here recomputes library results by a deliberately different
 route (deque BFS instead of bitset BFS; cofactor expansion and the
-Faddeev-LeVerrier trace recurrence over the integers instead of Hessenberg
-reduction modulo primes; rational Gaussian elimination instead of
-fraction-free; Fraction sums instead of denominator-cleared integer sums;
-pairwise label comparison instead of bitset intersection), so exact
-agreement between the two is meaningful evidence.
+Faddeev-LeVerrier trace recurrence over the integers, or one Hessenberg
+pass per prime, instead of one Hessenberg pass modulo the product of the
+primes; adjacency tests instead of neighbourhood masks; rational Gaussian
+elimination instead of fraction-free; Fraction sums instead of
+denominator-cleared integer sums; pairwise label comparison instead of
+bitset intersection), so exact agreement between the two is meaningful
+evidence.
 """
 
 from collections import deque
@@ -15,7 +17,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from lapfam import Graph, combination_labels
+from lapfam import Graph, combination_labels, linalg
 
 
 def naive_distances(g, source):
@@ -118,6 +120,34 @@ def faddeev_leverrier_charpoly(mat):
             for i in range(n):
                 m[i][i] += coeffs[n - k]
     return coeffs
+
+
+def per_prime_charpoly(mat):
+    """det(xI - mat) as a ``CharPoly``, by one Hessenberg pass modulo each
+    certified prime below 2**78 in turn (a prime modulus never splits),
+    joined by CRT until the product M exceeds twice the Hadamard bound, and
+    lifted to (-M/2, M/2]."""
+    n = len(mat)
+    bound = linalg.hadamard_bound(mat)
+    coeffs, modulus, k, p = [0] * (n + 1), 1, 0, (1 << 78) + 1
+    while modulus <= 2 * bound:
+        p -= 2
+        while not linalg.is_prime(p):
+            p -= 2
+        residues = linalg._char_poly_mod(mat, p)
+        assert isinstance(residues, list), (p, residues)
+        inv = pow(modulus, -1, p)
+        coeffs = [x + modulus * ((r - x) * inv % p) for x, r in zip(coeffs, residues)]
+        modulus, k = modulus * p, k + 1
+    return linalg.CharPoly([x - modulus if 2 * x > modulus else x for x in coeffs], k)
+
+
+def adjacency_laplacian(g):
+    """Degree matrix minus adjacency matrix, one ``adjacent`` test per entry."""
+    return [
+        [g.degree(i) if i == j else -int(g.adjacent(i, j)) for j in range(g.n)]
+        for i in range(g.n)
+    ]
 
 
 def fraction_rank(mat):

@@ -20,6 +20,7 @@ from helpers import (
     faddeev_leverrier_charpoly,
     fraction_rank,
     graphs,
+    per_prime_charpoly,
     poly_mul,
 )
 
@@ -32,6 +33,30 @@ def square_matrices(max_n=5, lo=-5, hi=5):
             max_size=n,
         )
     )
+
+
+@st.composite
+def large_matrices(draw, max_n=6):
+    """Entries up to 10**30 in size, with a diagonal of at least 10**29 in
+    every row, so the Hadamard bound needs 3 or more primes."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    big = st.integers(10**29, 10**30) | st.integers(-(10**30), -(10**29))
+    m = [draw(st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n)) for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(big)
+    return m
+
+
+def spy_char_poly_mod(monkeypatch):
+    """Record the modulus of every ``_char_poly_mod`` call."""
+    calls, real = [], linalg._char_poly_mod
+
+    def spy(a, q):
+        calls.append(q)
+        return real(a, q)
+
+    monkeypatch.setattr(linalg, "_char_poly_mod", spy)
+    return calls
 
 
 class TestBasics:
@@ -142,6 +167,39 @@ class TestModularCharPoly:
         cp = char_poly(laplacian(resolver_graph(2, c)))
         assert cp == want
         assert cp.moduli >= 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=square_matrices(max_n=10, lo=-(10**4), hi=10**4) | large_matrices())
+    def test_matches_one_pass_per_prime(self, m):
+        cp, want = char_poly(m), per_prime_charpoly(m)
+        assert cp == want and cp.moduli == want.moduli
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=large_matrices())
+    def test_large_entries_match_faddeev_leverrier(self, m):
+        cp = char_poly(m)
+        assert cp == faddeev_leverrier_charpoly(m)
+        assert cp.moduli >= 3
+
+    def test_non_unit_pivot_splits_the_modulus(self, monkeypatch):
+        char_poly([[1]])  # certifies the first prime
+        p = linalg._primes[0]
+        # The first sub-diagonal pivot, p, is zero modulo p and a unit modulo
+        # the other prime, so the one pass over their product must split.
+        m = [[1, 2, 3, 4], [p, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
+        moduli = per_prime_charpoly(m).moduli
+        calls = spy_char_poly_mod(monkeypatch)
+        cp = char_poly(m)
+        assert cp == faddeev_leverrier_charpoly(m)
+        assert cp.moduli == moduli == 2
+        assert calls[0] == prod(moduli_used(cp))
+        assert sorted(calls[1:]) == sorted(moduli_used(cp))
+
+    def test_gap_spectrum_takes_one_pass(self, monkeypatch):
+        calls = spy_char_poly_mod(monkeypatch)
+        cp = char_poly(laplacian(resolver_graph(2, 24)))
+        assert cp.moduli == 3
+        assert calls == [prod(moduli_used(cp))]
 
     def test_result_is_a_plain_coefficient_list(self):
         cp = char_poly([[2, -1], [-1, 2]])

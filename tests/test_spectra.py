@@ -23,6 +23,7 @@ from lapfam import (
 from lapfam import spectra
 from lapfam.linalg import poly_eval
 from helpers import (
+    adjacency_laplacian,
     component_count,
     connected_graphs,
     fraction_edge_partition_sums,
@@ -55,6 +56,12 @@ class TestLaplacian:
                 assert lap[i][j] == lap[j][i]
                 if i != j:
                     assert lap[i][j] == -int(corpus_graph.adjacent(i, j))
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=graphs(max_n=12))
+    def test_matches_adjacency_tests(self, g):
+        assert laplacian(g) == adjacency_laplacian(g)
 
 
 class TestIntegralSpectrum:
