@@ -32,7 +32,7 @@ from .families import (
 )
 from .formats import read_graph_auto, write_dot, write_edgelist, write_graph6
 from .graphs import Graph
-from .metric import SearchExhausted, dimension_search
+from .metric import SEARCH_VERTEX_LIMIT, SearchExhausted, dimension_search
 from .spectra import integral_spectrum, laplacian
 from .verify import run_verify
 
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     dimension.add_argument(
         "--allow-large",
         action="store_true",
-        help="search graphs past the 24-vertex safety cap",
+        help=f"search graphs past the {SEARCH_VERTEX_LIMIT}-vertex safety cap",
     )
     dimension.add_argument("--out", default=None)
     dimension.set_defaults(func=cmd_dimension)

@@ -52,16 +52,13 @@ def combination_graph(d: int, c: int) -> Graph:
             near[k][t - 1] |= 1 << v
             near[k][t] |= 1 << v
             near[k][t + 1] |= 1 << v
-    edges = []
+    masks = []
     for v, label in enumerate(labels):
-        mask = -1 << (v + 1)  # neighbours above v
+        mask = ~(1 << v)  # every vertex but v
         for k, t in enumerate(label.seq):
             mask &= near[k][t]
-        while mask:
-            low = mask & -mask
-            edges.append((v, low.bit_length() - 1))
-            mask ^= low
-    return Graph(len(labels), edges, labels)
+        masks.append(mask)
+    return Graph._from_masks(masks, labels)
 
 
 def resolver_graph(d: int, c: int) -> Graph:
@@ -73,12 +70,11 @@ def resolver_graph(d: int, c: int) -> Graph:
     """
     base = combination_graph(d, c)
     nb = base.n
-    edges = list(base.edges())
-    for i in range(1, c + 1):
-        w = nb + i - 1
-        edges += [(v, w) for v in range(nb) if base.labels[v].ones >= i]
+    ones = [label.ones for label in base.labels]
+    masks = [base.neighbor_mask(v) | ((1 << k) - 1) << nb for v, k in enumerate(ones)]
+    masks += [sum(1 << v for v, k in enumerate(ones) if k >= i) for i in range(1, c + 1)]
     labels = list(base.labels) + [Resolver(i) for i in range(1, c + 1)]
-    return Graph(nb + c, edges, labels)
+    return Graph._from_masks(masks, labels)
 
 
 def resolver_graph_indexed(c: int) -> Graph:

@@ -9,7 +9,7 @@ unlabeled graph; DOT output is write-only and keeps labels.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, _iter_bits
 
 _HEADER = ">>graph6<<"
 
@@ -32,36 +32,25 @@ def _decode_n(text: str) -> tuple[int, int]:
         raise ValueError("empty graph6 string")
     if text[0] != "~":
         return ord(text[0]) - 63, 1
-    if len(text) >= 2 and text[1] != "~":
-        if len(text) < 4:
-            raise ValueError("truncated graph6 vertex count")
-        chunks = [ord(ch) - 63 for ch in text[1:4]]
-        return (chunks[0] << 12) | (chunks[1] << 6) | chunks[2], 4
-    if len(text) < 8:
+    start, end = (2, 8) if text[1:2] == "~" else (1, 4)
+    if len(text) < end:
         raise ValueError("truncated graph6 vertex count")
-    chunks = [ord(ch) - 63 for ch in text[2:8]]
     n = 0
-    for value in chunks:
-        n = (n << 6) | value
-    return n, 8
+    for ch in text[start:end]:
+        n = (n << 6) | (ord(ch) - 63)
+    return n, end
 
 
 def write_graph6(g: Graph, header: bool = False) -> str:
     """One-line graph6 encoding (no trailing newline)."""
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append(1 if g.adjacent(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k : k + 6]:
-            value = (value << 1) | b
-        chars.append(chr(value + 63))
+    # Column j of the upper triangle is the low j bits of mask j, bit i first.
+    bits = "".join(
+        format(g.neighbor_mask(j) & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, g.n)
+    )
+    bits += "0" * (-len(bits) % 6)
+    body = "".join(chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6))
     prefix = _HEADER if header else ""
-    return prefix + _encode_n(g.n) + "".join(chars)
+    return prefix + _encode_n(g.n) + body
 
 
 def read_graph6(text: str) -> Graph:
@@ -76,18 +65,14 @@ def read_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} characters, expected {need}")
-    bits = []
-    for ch in body:
-        value = ord(ch) - 63
-        bits.extend((value >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
-    edges = []
-    k = 0
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+        below = int(bits[j * (j - 1) // 2 : j * (j + 1) // 2][::-1], 2)
+        adj[j] |= below
+        for i in _iter_bits(below):
+            adj[i] |= 1 << j
+    return Graph._from_masks(adj)
 
 
 def write_dot(g: Graph, name: str = "g") -> str:

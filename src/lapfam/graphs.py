@@ -1,7 +1,8 @@
 """Simple undirected graphs with exact integer distances.
 
 Vertices are 0-based indices.  Each vertex's neighbourhood is stored as a
-Python int used as a bitset, so BFS frontiers expand with wordwise OR.
+Python int used as a bitset, so BFS frontiers expand with wordwise OR;
+every builder hands these masks to one validator (``Graph._from_masks``).
 Graphs are immutable after construction and safe for concurrent reads.
 Each graph computes its all-pairs distances at most once, on first use,
 and keeps them for its own lifetime (two threads racing to fill the cache
@@ -78,16 +79,40 @@ class Graph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative: {n}")
         adj = [0] * n
-        m = 0
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not adj[u] >> v & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        self._init_masks(adj, labels)
+
+    @classmethod
+    def _from_masks(
+        cls, masks: Sequence[int], labels: Sequence[Label | None] | None = None
+    ) -> "Graph":
+        """Graph whose vertex v has neighbourhood bitset ``masks[v]``."""
+        g = cls.__new__(cls)
+        g._init_masks(masks, labels)
+        return g
+
+    def _init_masks(self, masks: Sequence[int], labels: Sequence[Label | None] | None) -> None:
+        """The one validator: every mask within range(n), no loops, symmetric."""
+        adj = tuple(masks)
+        n = len(adj)
+        # Range first: bit iteration never ends on a negative int.
+        if any(mask < 0 or mask >> n for mask in adj):
+            raise ValueError(f"neighbourhood masks must lie within range({n})")
+        m = 0
+        for v, mask in enumerate(adj):
+            if mask >> v & 1:
+                raise ValueError(f"self-loop at vertex {v}")
+            for u in _iter_bits(mask >> (v + 1) << (v + 1)):
+                if not adj[u] >> v & 1:
+                    raise ValueError(f"asymmetric pair ({v},{u}): {u} does not list {v}")
                 m += 1
+        # Every pair above the diagonal has its mirror, so equal counts leave none below.
+        if 2 * m != sum(mask.bit_count() for mask in adj):
+            raise ValueError("asymmetric pair below the diagonal")
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != n:
@@ -97,7 +122,7 @@ class Graph:
                 raise ValueError("vertex labels must be pairwise distinct")
         self._n = n
         self._m = m
-        self._adj = tuple(adj)
+        self._adj = adj
         self._labels = labels
         self._dist: tuple[tuple[int | None, ...], ...] | None = None
 
@@ -148,7 +173,7 @@ class Graph:
 
     def with_labels(self, labels: Sequence[Label | None] | None) -> "Graph":
         """Same adjacency, different labels."""
-        return Graph(self._n, self.edges(), labels)
+        return Graph._from_masks(self._adj, labels)
 
     def __repr__(self) -> str:
         tag = ", labeled" if self._labels is not None else ""
@@ -213,34 +238,26 @@ def _concat_labels(g1: Graph, g2: Graph) -> tuple[Label | None, ...] | None:
     # later copy becomes an unlabeled vertex (keeps labels pairwise distinct).
     if g1.labels is None and g2.labels is None:
         return None
-    first = g1.labels if g1.labels is not None else (None,) * g1.n
-    second = g2.labels if g2.labels is not None else (None,) * g2.n
-    out: list[Label | None] = list(first)
-    seen = {lab for lab in first if lab is not None}
-    for lab in second:
-        if lab is not None and lab in seen:
-            out.append(None)
-        else:
-            out.append(lab)
-            if lab is not None:
-                seen.add(lab)
+    seen: set[Label | None] = set()
+    out: list[Label | None] = []
+    for lab in (g1.labels or (None,) * g1.n) + (g2.labels or (None,) * g2.n):
+        out.append(None if lab in seen else lab)
+        seen.add(lab)
     return tuple(out)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; g1's vertices come first, g2's are shifted by g1.n."""
-    off = g1.n
-    edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
-    return Graph(g1.n + g2.n, edges, _concat_labels(g1, g2))
+    masks = list(g1._adj) + [mask << g1.n for mask in g2._adj]
+    return Graph._from_masks(masks, _concat_labels(g1, g2))
 
 
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus every edge between the two parts (g1 first)."""
-    off = g1.n
-    edges = list(g1.edges())
-    edges += [(u + off, v + off) for u, v in g2.edges()]
-    edges += [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
-    return Graph(g1.n + g2.n, edges, _concat_labels(g1, g2))
+    first = (1 << g1.n) - 1
+    second = ((1 << g2.n) - 1) << g1.n
+    masks = [mask | second for mask in g1._adj] + [mask << g1.n | first for mask in g2._adj]
+    return Graph._from_masks(masks, _concat_labels(g1, g2))
 
 
 def degree_sequence(g: Graph) -> list[int]:

@@ -39,6 +39,7 @@ from .graphs import (
 )
 from .linalg import mat_vec
 from .metric import (
+    SEARCH_VERTEX_LIMIT,
     is_outer_multiset_resolving,
     multiset_rep,
     outer_multiset_dimension,
@@ -348,7 +349,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         for d in range(2, min(dmax, 4) + 1):
             for c in range(1, min(cmax, 4) + 1):
                 g = resolver_graph(d, c)
-                if g.n > 24:
+                if g.n > SEARCH_VERTEX_LIMIT:
                     continue
                 size, witness = outer_multiset_dimension(g)
                 _require(

@@ -7,8 +7,8 @@ pass per prime, instead of one Hessenberg pass modulo the product of the
 primes; adjacency tests instead of neighbourhood masks; rational Gaussian
 elimination instead of fraction-free; Fraction sums instead of
 denominator-cleared integer sums; pairwise label comparison instead of
-bitset intersection), so exact agreement between the two is meaningful
-evidence.
+bitset intersection; edge lists and bit lists instead of neighbourhood
+masks), so exact agreement between the two is meaningful evidence.
 """
 
 from collections import deque
@@ -17,7 +17,8 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from lapfam import Graph, combination_labels, linalg
+from lapfam import Graph, Resolver, combination_graph, combination_labels, linalg
+from lapfam.formats import _decode_n, _encode_n
 
 
 def naive_distances(g, source):
@@ -254,6 +255,93 @@ def pairwise_combination_graph(d, c):
     return Graph(len(labels), edges, labels)
 
 
+def edge_concat_labels(g1, g2):
+    """Labels of g1 then g2; a label already used in g1 becomes None."""
+    if g1.labels is None and g2.labels is None:
+        return None
+    first = g1.labels if g1.labels is not None else (None,) * g1.n
+    second = g2.labels if g2.labels is not None else (None,) * g2.n
+    out = list(first)
+    seen = {lab for lab in first if lab is not None}
+    for lab in second:
+        if lab is not None and lab in seen:
+            out.append(None)
+        else:
+            out.append(lab)
+            if lab is not None:
+                seen.add(lab)
+    return tuple(out)
+
+
+def edge_disjoint_union(g1, g2):
+    """Disjoint union through an edge list, g2's vertices shifted by g1.n."""
+    off = g1.n
+    edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
+    return Graph(g1.n + g2.n, edges, edge_concat_labels(g1, g2))
+
+
+def edge_join(g1, g2):
+    """Join through an edge list: the disjoint union plus every cross pair."""
+    off = g1.n
+    edges = list(g1.edges())
+    edges += [(u + off, v + off) for u, v in g2.edges()]
+    edges += [(u, v + off) for u in range(g1.n) for v in range(g2.n)]
+    return Graph(g1.n + g2.n, edges, edge_concat_labels(g1, g2))
+
+
+def edge_resolver_graph(d, c):
+    """G+(d, c) through an edge list: resolver w_i joins every base vertex
+    with at least i ones."""
+    base = combination_graph(d, c)
+    nb = base.n
+    edges = list(base.edges())
+    for i in range(1, c + 1):
+        w = nb + i - 1
+        edges += [(v, w) for v in range(nb) if base.labels[v].ones >= i]
+    labels = list(base.labels) + [Resolver(i) for i in range(1, c + 1)]
+    return Graph(nb + c, edges, labels)
+
+
+def bitlist_write_graph6(g, header=False):
+    """graph6 from a list of 0/1 entries, one ``adjacent`` test per pair."""
+    bits = []
+    for j in range(1, g.n):
+        for i in range(j):
+            bits.append(1 if g.adjacent(i, j) else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    chars = []
+    for k in range(0, len(bits), 6):
+        value = 0
+        for b in bits[k : k + 6]:
+            value = (value << 1) | b
+        chars.append(chr(value + 63))
+    prefix = ">>graph6<<" if header else ""
+    return prefix + _encode_n(g.n) + "".join(chars)
+
+
+def bitlist_read_graph6(text):
+    """Inverse of ``bitlist_write_graph6`` for well-formed input, via an edge list."""
+    line = text.strip().removeprefix(">>graph6<<")
+    n, consumed = _decode_n(line)
+    bits = []
+    for ch in line[consumed:]:
+        value = ord(ch) - 63
+        bits.extend((value >> s) & 1 for s in (5, 4, 3, 2, 1, 0))
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return Graph(n, edges)
+
+
+def masks(g):
+    return [g.neighbor_mask(v) for v in range(g.n)]
+
+
 @st.composite
 def graphs(draw, max_n=8):
     n = draw(st.integers(min_value=1, max_value=max_n))
@@ -272,3 +360,17 @@ def connected_graphs(draw, max_n=8):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     extra = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     return Graph(n, tree + extra)
+
+
+@st.composite
+def labeled_graphs(draw, max_n=8):
+    """Graphs whose vertices carry resolver labels w1..w6 or none, so two
+    drawn graphs often share a label."""
+    g = draw(graphs(max_n=max_n))
+    if draw(st.booleans()):
+        return g
+    indices = draw(st.lists(st.none() | st.integers(1, 6), min_size=g.n, max_size=g.n))
+    labels = [
+        None if i is None or i in indices[:k] else Resolver(i) for k, i in enumerate(indices)
+    ]
+    return Graph(g.n, g.edges(), labels)

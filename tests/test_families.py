@@ -19,7 +19,7 @@ from lapfam import (
     resolver_graph_iterative,
     resolver_graph_step,
 )
-from helpers import pairwise_combination_graph
+from helpers import edge_resolver_graph, masks, pairwise_combination_graph
 
 
 class TestLabelsAndOrders:
@@ -118,6 +118,12 @@ class TestResolverGraph:
     def test_labels(self):
         g = resolver_graph(2, 2)
         assert [str(lab) for lab in g.labels] == ["11", "12", "22", "w1", "w2"]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("c", range(1, 7))
+    def test_matches_edge_oracle(self, d, c):
+        g, want = resolver_graph(d, c), edge_resolver_graph(d, c)
+        assert (masks(g), g.labels, g.edge_count) == (masks(want), want.labels, want.edge_count)
 
 
 class TestIndexedConstruction:

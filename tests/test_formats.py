@@ -1,6 +1,7 @@
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapfam import (
     Graph,
@@ -16,7 +17,7 @@ from lapfam import (
     write_graph6,
 )
 from lapfam.formats import _decode_n, _encode_n
-from helpers import graphs
+from helpers import bitlist_read_graph6, bitlist_write_graph6, graphs, masks
 
 
 def same_graph(a: Graph, b: Graph) -> bool:
@@ -91,9 +92,26 @@ class TestGraph6:
             _encode_n(-1)
 
     @settings(max_examples=60, deadline=None)
-    @given(g=graphs(max_n=12))
+    @given(g=graphs(max_n=70))
     def test_roundtrip_random(self, g):
-        assert same_graph(read_graph6(write_graph6(g)), g)
+        # n up to 70 crosses the 63-vertex tier of the graph6 header
+        text = write_graph6(g)
+        assert text == bitlist_write_graph6(g)
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        assert text == nx.to_graph6_bytes(h, header=False).decode().strip()
+        back = read_graph6(text)
+        assert same_graph(back, g) and back.edge_count == g.edge_count
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=0, max_value=70))
+    def test_reader_matches_bitlist_oracle(self, data, n):
+        # any body of the right length, padding bits included
+        need = (n * (n - 1) // 2 + 5) // 6
+        codes = data.draw(st.lists(st.integers(63, 126), min_size=need, max_size=need))
+        text = _encode_n(n) + "".join(map(chr, codes))
+        assert masks(read_graph6(text)) == masks(bitlist_read_graph6(text))
 
 
 class TestDot:

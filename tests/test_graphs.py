@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import component_count, graphs, naive_distances
+from helpers import (
+    component_count,
+    edge_disjoint_union,
+    edge_join,
+    graphs,
+    labeled_graphs,
+    masks,
+    naive_distances,
+)
 from lapfam import (
     Combination,
     DisconnectedGraphError,
@@ -70,6 +78,55 @@ class TestConstruction:
     def test_edges_sorted(self):
         g = Graph(4, [(3, 2), (1, 0), (0, 2)])
         assert list(g.edges()) == [(0, 1), (0, 2), (2, 3)]
+
+
+class TestFromMasks:
+    def test_builds_the_graph(self):
+        g = Graph._from_masks([0b110, 0b101, 0b011])
+        assert g.n == 3 and g.edge_count == 3
+        assert list(g.edges()) == list(Graph.complete(3).edges())
+
+    def test_empty(self):
+        assert Graph._from_masks([]).n == 0
+
+    def test_self_loop(self):
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph._from_masks([0b10, 0b11])
+
+    def test_bit_at_n(self):
+        with pytest.raises(ValueError, match="range"):
+            Graph._from_masks([0b100, 0b000])
+
+    def test_negative_mask(self):
+        # Caught before any bit is iterated: iterating the bits of -2 never ends.
+        with pytest.raises(ValueError, match="range"):
+            Graph._from_masks([-2, 0b01])
+
+    def test_asymmetric_above_diagonal(self):
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph._from_masks([0b10, 0b00])
+
+    def test_asymmetric_below_diagonal(self):
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph._from_masks([0b000, 0b001, 0b001])
+
+    def test_asymmetric_with_balanced_counts(self):
+        # 0 lists 1 and 2 lists 0: one pair above, one below, neither mirrored
+        with pytest.raises(ValueError, match="asymmetric"):
+            Graph._from_masks([0b010, 0b000, 0b001])
+
+    def test_label_count(self):
+        with pytest.raises(ValueError, match="labels"):
+            Graph._from_masks([0b10, 0b01], [Resolver(1)])
+
+    def test_duplicate_labels(self):
+        with pytest.raises(ValueError, match="distinct"):
+            Graph._from_masks([0b10, 0b01], [Resolver(1), Resolver(1)])
+
+    def test_edge_input_shares_the_validator(self):
+        assert Graph(3, [(0, 1), (1, 0), (0, 1)]).edge_count == 1
+        with pytest.raises(ValueError, match="self-loop"):
+            Graph(2, [(0, 0)])
 
 
 class TestLabels:
@@ -217,6 +274,24 @@ class TestUnionJoin:
     def test_union_component_count(self, a, b):
         u = disjoint_union(a, b)
         assert component_count(u) == component_count(a) + component_count(b)
+
+
+    @given(labeled_graphs(max_n=10), labeled_graphs(max_n=10))
+    @settings(max_examples=60)
+    def test_union_matches_edge_oracle(self, a, b):
+        g, want = disjoint_union(a, b), edge_disjoint_union(a, b)
+        assert (masks(g), g.labels, g.edge_count) == (masks(want), want.labels, want.edge_count)
+
+    @given(labeled_graphs(max_n=10), labeled_graphs(max_n=10))
+    @settings(max_examples=60)
+    def test_join_matches_edge_oracle(self, a, b):
+        g, want = join(a, b), edge_join(a, b)
+        assert (masks(g), g.labels, g.edge_count) == (masks(want), want.labels, want.edge_count)
+
+    def test_with_labels_keeps_adjacency(self):
+        g = Graph.path(3).with_labels([Resolver(1), None, Resolver(2)])
+        assert list(g.edges()) == [(0, 1), (1, 2)] and g.edge_count == 2
+        assert g.labels == (Resolver(1), None, Resolver(2))
 
 
 class TestPermuted:
