@@ -23,9 +23,11 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .families import (
     combination_graph,
+    expected_orders,
     resolver_graph,
     resolver_graph_indexed,
     resolver_graph_iterative,
@@ -33,10 +35,19 @@ from .families import (
 from .formats import read_graph_auto, write_dot, write_edgelist, write_graph6
 from .graphs import Graph
 from .metric import SEARCH_VERTEX_LIMIT, SearchExhausted, dimension_search
+from .metric import _KINDS, _check_search
 from .spectra import integral_spectrum, laplacian
 from .verify import run_verify
 
-_CONSTRUCTIONS = ("direct", "iterative", "indexed")
+# gplus builders by construction, "direct" (the default) the only one for
+# d != 2.  Like _WRITERS, each looks its function up by name when called,
+# so a patched binding (a test's, or perfbench's tracer) is the one that runs.
+_BUILDERS = {
+    "direct": lambda d, c: resolver_graph(d, c),
+    "iterative": lambda d, c: resolver_graph_iterative(c),
+    "indexed": lambda d, c: resolver_graph_indexed(c),
+}
+_CONSTRUCTIONS = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -79,37 +90,48 @@ def parse_family_spec(text: str) -> FamilySpec:
 def build_graph(spec: FamilySpec) -> Graph:
     if spec.family == "g":
         return combination_graph(spec.d, spec.c)
-    if spec.construction == "iterative":
-        return resolver_graph_iterative(spec.c)
-    if spec.construction == "indexed":
-        return resolver_graph_indexed(spec.c)
-    return resolver_graph(spec.d, spec.c)
+    return _BUILDERS[spec.construction](spec.d, spec.c)
 
 
-def _load_graph(text: str) -> Graph:
-    """A family spec, or a path to a graph6 / edge-list file."""
+def _load_graph(text: str, admit: Callable[[int], None] | None = None) -> Graph:
+    """A family spec, or a path to a graph6 / edge-list file.  ``admit``
+    sees a family member's closed-form order before the member is built."""
     try:
-        return build_graph(parse_family_spec(text))
+        spec = parse_family_spec(text)
     except ValueError as spec_err:
         path = Path(text)
         if path.is_file():
             return read_graph_auto(path.read_text())
         raise ValueError(f"{spec_err}; and no file named {text!r} exists") from None
+    if admit is not None:
+        base, extended = expected_orders(spec.d, spec.c)
+        admit(extended if spec.family == "gplus" else base)
+    return build_graph(spec)
 
 
-def _graph_json(g: Graph) -> str:
+def _graph_json(g: Graph) -> dict:
     labels = g.labels
-    payload = {
+    return {
         "n": g.n,
         "edges": [[u + 1, v + 1] for u, v in g.edges()],
         "labels": None
         if labels is None
         else [None if lab is None else str(lab) for lab in labels],
     }
-    return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+# gen's output formats
+_WRITERS = {
+    "graph6": lambda g: write_graph6(g) + "\n",
+    "dot": lambda g: write_dot(g),
+    "edgelist": lambda g: write_edgelist(g),
+    "json": _graph_json,
+}
+
+
+def _emit(report: str | dict, out: str | None = None) -> None:
+    """Write text, or a JSON report, to ``out`` (stdout when None)."""
+    text = report if isinstance(report, str) else json.dumps(report, indent=2) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -118,15 +140,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     g = build_graph(parse_family_spec(args.spec))
-    if args.format == "graph6":
-        text = write_graph6(g) + "\n"
-    elif args.format == "dot":
-        text = write_dot(g)
-    elif args.format == "edgelist":
-        text = write_edgelist(g)
-    else:
-        text = _graph_json(g)
-    _emit(text, args.out)
+    _emit(_WRITERS[args.format](g), args.out)
     return 0
 
 
@@ -146,12 +160,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "residual_degree": spec.residual_degree,
         "moduli": spec.moduli,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return 0
 
 
 def cmd_dimension(args: argparse.Namespace) -> int:
-    g = _load_graph(args.input)
+    # A family spec past the search cap is refused before it is built.
+    g = _load_graph(
+        args.input, lambda n: _check_search(n, args.max_size, args.allow_large)
+    )
     start = time.perf_counter()
     # The result and the exhaustion error both carry the work counters.
     try:
@@ -177,30 +194,25 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         "pruned": outcome.pruned,
         "elapsed": round(elapsed, 6),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_verify(cmax=args.cmax, dmax=args.dmax)
     if args.json:
-        payload = {
-            "ok": report.ok,
-            "cmax": args.cmax,
-            "dmax": args.dmax,
-            "checks": [
-                {
-                    "name": check.name,
-                    "status": check.status,
-                    "details": check.details,
-                    "elapsed": round(check.elapsed, 6),
-                }
-                for check in report.checks
-            ],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        checks = [
+            {
+                "name": check.name,
+                "status": check.status,
+                "details": check.details,
+                "elapsed": round(check.elapsed, 6),
+            }
+            for check in report.checks
+        ]
+        _emit({"ok": report.ok, "cmax": args.cmax, "dmax": args.dmax, "checks": checks})
     else:
-        sys.stdout.write(report.render() + "\n")
+        _emit(report.render() + "\n")
     return 0 if report.ok else 1
 
 
@@ -214,24 +226,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="emit a family member")
     gen.add_argument("spec", help="family spec, e.g. g:4,3 or gplus:2,3:indexed")
-    gen.add_argument(
-        "--format",
-        choices=("graph6", "dot", "edgelist", "json"),
-        default="graph6",
-    )
+    gen.add_argument("--format", choices=tuple(_WRITERS), default="graph6")
     gen.add_argument("--out", default=None, help="output file (default stdout)")
-    gen.set_defaults(func=cmd_gen)
 
     spectrum = sub.add_parser("spectrum", help="exact Laplacian spectrum report")
     spectrum.add_argument("input", help="family spec or graph file")
     spectrum.add_argument("--out", default=None)
-    spectrum.set_defaults(func=cmd_spectrum)
 
     dimension = sub.add_parser("dimension", help="smallest resolving set, by exact search")
     dimension.add_argument("input", help="family spec or graph file")
-    dimension.add_argument(
-        "--kind", choices=("outer", "multiset", "vector"), default="outer"
-    )
+    dimension.add_argument("--kind", choices=_KINDS, default="outer")
     dimension.add_argument("--max-size", type=int, default=None)
     dimension.add_argument(
         "--allow-large",
@@ -239,13 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"search graphs past the {SEARCH_VERTEX_LIMIT}-vertex safety cap",
     )
     dimension.add_argument("--out", default=None)
-    dimension.set_defaults(func=cmd_dimension)
 
     verify = sub.add_parser("verify", help="run the self-check battery")
     verify.add_argument("--cmax", type=int, default=8)
     verify.add_argument("--dmax", type=int, default=4)
     verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -254,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up when it runs, so a patched handler is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, IndexError, OSError) as exc:
         print(f"lapfam: error: {exc}", file=sys.stderr)
         return 2

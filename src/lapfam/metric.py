@@ -249,6 +249,17 @@ def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int,
     return None, tested, pruned
 
 
+def _check_search(n: int, max_size: int | None, allow_large: bool) -> None:
+    """The search's size policy for n vertices; raises ValueError to refuse."""
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be non-negative: {max_size}")
+    if n > SEARCH_VERTEX_LIMIT and not allow_large:
+        raise ValueError(
+            f"subset search over {n} > {SEARCH_VERTEX_LIMIT} vertices; "
+            "pass allow_large=True to force"
+        )
+
+
 def dimension_search(
     g: Graph,
     kind: str = "outer",
@@ -266,13 +277,7 @@ def dimension_search(
     """
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}: {kind!r}")
-    if max_size is not None and max_size < 0:
-        raise ValueError(f"max_size must be non-negative: {max_size}")
-    if g.n > SEARCH_VERTEX_LIMIT and not allow_large:
-        raise ValueError(
-            f"subset search over {g.n} > {SEARCH_VERTEX_LIMIT} vertices; "
-            "pass allow_large=True to force"
-        )
+    _check_search(g.n, max_size, allow_large)
     cap = g.n if max_size is None else min(max_size, g.n)
     witness, tested, pruned = _search(g, kind, cap)
     if witness is None:

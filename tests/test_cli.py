@@ -7,8 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from lapfam import Check, VerifyReport, char_poly, dimension_search, laplacian, resolver_graph
-from lapfam import cli
+from lapfam import (
+    Check,
+    VerifyReport,
+    char_poly,
+    dimension_search,
+    laplacian,
+    resolver_graph,
+    write_graph6,
+)
+from lapfam import cli, families
 from lapfam.cli import FamilySpec, main, parse_family_spec
 
 
@@ -212,6 +220,40 @@ class TestDimension:
         assert payload["n"] == 25
         assert payload["dimension"] == 1
 
+    @pytest.mark.parametrize(
+        "spec, order", [("g:12,12", 1352078), ("gplus:3,6", 34), ("gplus:2,12:indexed", 25)]
+    )
+    def test_oversized_spec_refused_before_build(self, capsys, monkeypatch, spec, order):
+        def never(*args):
+            raise AssertionError("a family builder ran")
+
+        for module in (cli, families):
+            for name in (
+                "combination_graph",
+                "resolver_graph",
+                "resolver_graph_indexed",
+                "resolver_graph_iterative",
+            ):
+                monkeypatch.setattr(module, name, never)
+        code, out, err = run_cli(capsys, "dimension", spec)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"lapfam: error: subset search over {order} > 24 vertices; "
+            "pass allow_large=True to force\n"
+        )
+        # a negative cap is still reported first, as for a built graph
+        code, _, err = run_cli(capsys, "dimension", spec, "--max-size", "-1")
+        assert code == 2
+        assert err == "lapfam: error: max_size must be non-negative: -1\n"
+
+    def test_refusal_matches_the_search_policy(self, capsys, tmp_path):
+        # a file input is read, then refused by dimension_search itself
+        graph_file = tmp_path / "g.g6"
+        graph_file.write_text(write_graph6(resolver_graph(2, 12)) + "\n")
+        from_file = run_cli(capsys, "dimension", str(graph_file))
+        assert from_file == run_cli(capsys, "dimension", "gplus:2,12")
+        assert from_file[0] == 2
+
 
 class TestVerify:
     def test_smoke(self, capsys):
@@ -232,6 +274,21 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "FAILURES PRESENT" in out
+
+
+class TestDispatch:
+    def test_main_calls_the_current_handler_binding(self, capsys, monkeypatch):
+        real = cli.cmd_spectrum
+        seen = []
+
+        def recording(args):
+            seen.append(args.input)
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_spectrum", recording)
+        payload = run_json(capsys, "spectrum", "g:1,1")
+        assert seen == ["g:1,1"]
+        assert payload["n"] == 1
 
 
 class TestErrorPaths:

@@ -1,9 +1,20 @@
+import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from lapfam import Check, Combination, VerifyReport, eigenvector_family, run_verify
-from lapfam import graphs, spectra
+from lapfam import (
+    Check,
+    Combination,
+    Graph,
+    VerifyReport,
+    eigenvector_family,
+    laplacian,
+    resolver_graph_indexed,
+    run_verify,
+)
+from lapfam import graphs, linalg, spectra
 from lapfam import verify as verify_module
 
 EXPECTED_AT_SMALL_RANGE = [
@@ -87,6 +98,58 @@ class TestFailurePaths:
         assert check.details == "AssertionError: quotient c=2 r=3"
         assert not report.ok
 
+    def test_wrong_spectrum_fails_gap(self, monkeypatch):
+        # c = 2 has spectrum {5, 4, 2, 1, 0}; report 3 in place of 2
+        real = spectra.integral_spectrum
+        target = laplacian(resolver_graph_indexed(2))
+        wrong = ((5, 1), (4, 1), (3, 1), (1, 1), (0, 1))
+
+        def skewed(lap):
+            spec = real(lap)
+            return replace(spec, pairs=wrong) if lap == target else spec
+
+        monkeypatch.setattr(verify_module, "integral_spectrum", skewed)
+        report = run_verify(cmax=2, dmax=2)
+        check = check_named(report, "spectrum-gap")
+        assert check.status == "fail"
+        assert check.details == f"AssertionError: spectrum c=2: {wrong}"
+        assert [c.name for c in report.checks if c.status == "fail"] == ["spectrum-gap"]
+
+    @pytest.mark.parametrize(
+        "cmax, details",
+        [
+            (3, "AssertionError: chain step to c=3"),
+            (
+                5,
+                "ValueError: input graph does not realize the gap spectrum at 4 "
+                "on 7 vertices",
+            ),
+        ],
+    )
+    def test_broken_chain_step_fails_chain(self, monkeypatch, cmax, details):
+        # The c = 3 graph loses an edge: the last graph's own check catches
+        # it at cmax 3, the next step's precondition at cmax 5.
+        real = spectra.realizability_step
+
+        def lossy(h, i_prev, n_prev):
+            grown = real(h, i_prev, n_prev)
+            return Graph(grown.n, list(grown.edges())[1:]) if i_prev == 3 else grown
+
+        monkeypatch.setattr(verify_module, "realizability_step", lossy)
+        report = run_verify(cmax=cmax, dmax=1)
+        check = check_named(report, "realizability-chain")
+        assert check.status == "fail"
+        assert check.details == details
+
+    def test_rank_deficient_basis_fails_eigenpairs(self, monkeypatch):
+        # verify_eigenpairs raises on a short rank; the battery reports it
+        real = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda a: real(a) - 1)
+        report = run_verify(cmax=2, dmax=1)
+        check = check_named(report, "eigenpairs")
+        assert check.status == "fail"
+        assert check.details == "VerificationError: eigenvector matrix rank 2 != 3"
+
 
 class TestSharing:
     def test_one_bfs_per_vertex_per_graph(self, monkeypatch):
@@ -110,6 +173,30 @@ class TestSharing:
         assert all(count <= len(key[1]) for key, count in first.items())
         second = run_counted()
         assert sum(second.values()) == sum(first.values())
+
+    def test_one_char_poly_per_matrix_per_check(self, monkeypatch):
+        # 8 gap spectra, 7 chain steps plus the last chain graph, and 4
+        # large-alphabet spectra (35 when the battery re-checked what
+        # Spectrum.gap and realizability_step already check).
+        real = linalg.char_poly
+        calls = Counter()
+
+        def counted(lap):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] != verify_module.__name__:
+                frame = frame.f_back
+            calls[frame.f_code.co_name, tuple(map(tuple, lap))] += 1
+            return real(lap)
+
+        monkeypatch.setattr(linalg, "char_poly", counted)
+        assert run_verify(cmax=8, dmax=4).ok
+        assert sum(calls.values()) == 20
+        assert set(calls.values()) == {1}
+        assert Counter(check for check, _ in calls) == {
+            "spectrum_gap": 8,
+            "realizability_chain": 8,
+            "large_alphabet_spectra": 4,
+        }
 
 
 class TestVerifyReport:
