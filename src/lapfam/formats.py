@@ -107,12 +107,14 @@ def read_edgelist(text: str) -> Graph:
     edges = []
     n = 0
     for line in rows:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad edge list line: {line!r}")
-        u, v = (int(p) for p in parts)
+        try:
+            u, v = map(int, line.split(","))
+        except ValueError:
+            raise ValueError(f"bad edge list line: {line!r}") from None
         if u < 1 or v < 1:
             raise ValueError(f"edge list vertices are 1-based: {line!r}")
+        if u == v:
+            raise ValueError(f"self-loop in edge list line: {line!r}")
         n = max(n, u, v)
         edges.append((u - 1, v - 1))
     return Graph(n, edges)

@@ -192,19 +192,17 @@ def bfs_distances(g: Graph, source: int) -> list[int | None]:
     if not 0 <= source < g.n:
         raise IndexError(f"source {source} out of range for n={g.n}")
     dist: list[int | None] = [None] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
+    adj = g._adj
+    seen = frontier = 1 << source
     d = 0
     while frontier:
         reach = 0
         for v in _iter_bits(frontier):
-            reach |= g.neighbor_mask(v)
+            dist[v] = d
+            reach |= adj[v]
         frontier = reach & ~seen
         seen |= frontier
         d += 1
-        for v in _iter_bits(frontier):
-            dist[v] = d
     return dist
 
 
@@ -217,12 +215,11 @@ def eccentricities(g: Graph) -> list[int]:
     """Eccentricity of every vertex; raises DisconnectedGraphError on any unreachable pair."""
     if g.n == 0:
         raise ValueError("eccentricities of the empty graph are undefined")
-    out = []
-    for v, dist in enumerate(g.distances()):
-        if None in dist:
-            raise DisconnectedGraphError(f"vertex {v} cannot reach the whole graph")
-        out.append(max(dist))  # type: ignore[type-var]
-    return out
+    rows = g.distances()
+    # vertex 0 reaches every vertex exactly when the graph is connected
+    if None in rows[0]:
+        raise DisconnectedGraphError("vertex 0 cannot reach the whole graph")
+    return [max(row) for row in rows]  # type: ignore[type-var]
 
 
 def diameter(g: Graph) -> int:

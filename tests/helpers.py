@@ -8,7 +8,9 @@ primes; adjacency tests instead of neighbourhood masks; rational Gaussian
 elimination instead of fraction-free; Fraction sums instead of
 denominator-cleared integer sums; pairwise label comparison instead of
 bitset intersection; edge lists and bit lists instead of neighbourhood
-masks), so exact agreement between the two is meaningful evidence.
+masks; for threshold graphs, the conjugate degree partition instead of
+any characteristic polynomial), so exact agreement between the two is
+meaningful evidence.
 """
 
 from collections import deque
@@ -141,6 +143,16 @@ def per_prime_charpoly(mat):
         coeffs = [x + modulus * ((r - x) * inv % p) for x, r in zip(coeffs, residues)]
         modulus, k = modulus * p, k + 1
     return linalg.CharPoly([x - modulus if 2 * x > modulus else x for x in coeffs], k)
+
+
+def threshold_spectrum(g):
+    """Laplacian eigenvalues of a threshold graph, descending with repetition:
+    the conjugate partition of its degree sequence, whose k-th part counts
+    the vertices of degree at least k (Merris, Linear Algebra Appl. 199,
+    1994).  Valid only for threshold graphs, i.e. graphs grown from one
+    vertex by joins and disjoint unions with a single vertex."""
+    degrees = [sum(g.adjacent(u, v) for v in range(g.n)) for u in range(g.n)]
+    return tuple(sum(1 for deg in degrees if deg >= k) for k in range(1, g.n + 1))
 
 
 def adjacency_laplacian(g):

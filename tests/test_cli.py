@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapfam import (
     Check,
@@ -313,6 +318,20 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "spectrum", str(graph_file))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2,x", "bad edge list line: '2,x'"),
+            ("3,3", "self-loop in edge list line: '3,3'"),
+        ],
+    )
+    def test_bad_edge_list_line(self, capsys, tmp_path, line, message):
+        graph_file = tmp_path / "bad.csv"
+        graph_file.write_text(f"u,v\n1,2\n{line}\n")
+        code, out, err = run_cli(capsys, "spectrum", str(graph_file))
+        assert (code, out) == (2, "")
+        assert err == f"lapfam: error: {message}\n"
+
     def test_out_of_memory_is_exit_2(self, capsys, monkeypatch, tmp_path):
         # The loader raises as an oversized file would, without allocating.
         def exhausted(text):
@@ -330,6 +349,52 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "g:1,1", "--format", "png"])
         assert exc.value.code == 2
+
+
+# Fuzzed graph files.  Every limit lives in a strategy, so no example builds
+# or allocates much: csv fields and graph6 size bytes stop at 20, and 32
+# random bytes hold no valid graph6 body for more than 19 vertices.
+_csv_fields = st.integers(-3, 20).map(str) | st.sampled_from(
+    ["", " ", "x", "u", "v", "1.5", "--1", "0x3", "#"]
+)
+# a line is a pair of numbers, or up to three fields of any kind
+_csv_lines = st.lists(st.integers(-3, 20).map(str), min_size=2, max_size=2).map(
+    ",".join
+) | st.lists(_csv_fields, max_size=3).map(",".join)
+_csv_texts = st.lists(_csv_lines, max_size=6).map("\n".join)
+
+
+@st.composite
+def _graph6_texts(draw):
+    n = draw(st.integers(0, 20))
+    # the right body length, or up to two characters short or long
+    size = max(0, (n * (n - 1) // 2 + 5) // 6 + draw(st.integers(-2, 2)))
+    graph6_chars = st.characters(min_codepoint=63, max_codepoint=126)
+    body = draw(st.text(graph6_chars, min_size=size, max_size=size))
+    header = draw(st.sampled_from(["", ">>graph6<<", ">>graph6<", "<<graph6>>", "graph6"]))
+    return header + chr(n + 63) + body
+
+
+_no_digit_bytes = st.binary(max_size=32).map(lambda raw: raw.translate(None, b"0123456789"))
+
+
+class TestFileFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        raw=_csv_texts.map(str.encode) | _graph6_texts().map(str.encode) | _no_digit_bytes
+    )
+    def test_exit_code_and_one_line(self, tmp_path_factory, raw):
+        graph_file = tmp_path_factory.getbasetemp() / "fuzz-input"
+        graph_file.write_bytes(raw)
+        for argv in (["spectrum"], ["dimension", "--max-size", "2"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, str(graph_file)])
+            if code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert code == 2
+                assert re.fullmatch(r"lapfam: error: [^\n]*\n", err.getvalue())
 
 
 class TestEntryPoints:

@@ -160,6 +160,20 @@ class TestEdgeList:
         with pytest.raises(ValueError):
             read_edgelist("a,b\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("2,x", "bad edge list line: '2,x'"),
+            ("1,2,3", "bad edge list line: '1,2,3'"),
+            ("7", "bad edge list line: '7'"),
+            ("3,3", "self-loop in edge list line: '3,3'"),
+        ],
+    )
+    def test_errors_quote_the_line(self, line, message):
+        with pytest.raises(ValueError) as exc:
+            read_edgelist(f"u,v\n1,2\n{line}\n")
+        assert str(exc.value) == message
+
 
 class TestAuto:
     def test_sniffs_edge_list(self):

@@ -8,10 +8,13 @@ from lapfam import (
     Graph,
     VerificationError,
     char_poly,
+    combination_graph,
+    disjoint_union,
     edge_partition_sums,
     eigenvalue_of_class,
     eigenvector_family,
     integral_spectrum,
+    join,
     laplacian,
     rayleigh,
     realizability_step,
@@ -30,6 +33,7 @@ from helpers import (
     fraction_rayleigh,
     graphs,
     nullity_sweep_spectrum,
+    threshold_spectrum,
 )
 
 # Exact rationals with assorted denominators, mixed with plain ints.
@@ -363,3 +367,31 @@ class TestGapSpectrum:
     def test_step_validates_spectrum(self):
         with pytest.raises(ValueError):
             realizability_step(Graph.path(4), 2, 4)
+
+
+class TestThresholdOracle:
+    """Every graph here is a threshold graph, so its Laplacian spectrum is
+    the conjugate partition of its degree sequence."""
+
+    @pytest.mark.parametrize("c", range(1, 25))
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda c: resolver_graph(2, c),
+            lambda c: resolver_graph(1, c),  # the star K_{1,c}
+            lambda c: combination_graph(2, c),  # the complete graph K_{c+1}
+        ],
+        ids=["gplus:2", "gplus:1", "g:2"],
+    )
+    def test_family_members(self, build, c):
+        g = build(c)
+        assert integral_spectrum(laplacian(g)).eigenvalues == threshold_spectrum(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=st.lists(st.booleans(), max_size=15))
+    def test_creation_sequences(self, steps):
+        # True joins the next vertex to everything so far; False adds it isolated.
+        g = Graph(1)
+        for dominating in steps:
+            g = join(g, Graph(1)) if dominating else disjoint_union(g, Graph(1))
+        assert integral_spectrum(laplacian(g)).eigenvalues == threshold_spectrum(g)
