@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .families import (
     combination_graph,
@@ -32,7 +32,7 @@ from .families import (
     resolver_graph_indexed,
     resolver_graph_iterative,
 )
-from .formats import read_graph_auto, write_dot, write_edgelist, write_graph6
+from .formats import _decimal, read_graph_auto, write_dot, write_edgelist, write_graph6
 from .graphs import Graph
 from .metric import SEARCH_VERTEX_LIMIT, SearchExhausted, dimension_search
 from .metric import _KINDS, _check_search
@@ -80,7 +80,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     if len(numbers) != 2:
         raise ValueError(f"bad family spec {text!r}: want two comma-separated integers")
     try:
-        d, c = (int(p) for p in numbers)
+        d, c = map(_decimal, numbers)
     except ValueError:
         raise ValueError(f"bad family spec {text!r}: d and c must be integers") from None
     construction = parts[2].lower() if len(parts) == 3 else "direct"
@@ -216,8 +216,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors are one line on stderr, exit 2;
+    its subcommand parsers are of the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"lapfam: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lapfam",
         description="Exact spectra and resolving sets of combination graphs.",
     )

@@ -14,6 +14,16 @@ from .graphs import Graph, _iter_bits
 _HEADER = ">>graph6<<"
 
 
+def _decimal(text: str) -> int:
+    """An optionally signed integer in ASCII digits, as typed in input text;
+    ``int`` alone would also take ``1_0`` or non-ASCII digits."""
+    body = text.strip()
+    digits = body[1:] if body.startswith(("+", "-")) else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(body)
+
+
 def _encode_n(n: int) -> str:
     if n < 0:
         raise ValueError(f"negative vertex count: {n}")
@@ -108,7 +118,7 @@ def read_edgelist(text: str) -> Graph:
     n = 0
     for line in rows:
         try:
-            u, v = map(int, line.split(","))
+            u, v = map(_decimal, line.split(","))
         except ValueError:
             raise ValueError(f"bad edge list line: {line!r}") from None
         if u < 1 or v < 1:

@@ -15,11 +15,14 @@ vertices of W join one at a time, with base B = n + 1:
 * vector: ``code = code * B + dist(w, u)``, the distance vector read as
   base-B digits (every distance is at most n - 1 < B);
 * multiset and outer: ``code = code + B ** dist(w, u)``, the count of each
-  distance read as a base-B digit (every count is at most |W| <= n < B).
+  distance read as a base-B digit (every count is at most |W| <= n < B),
+  except that in the outer kind w's own term is ``B**n * (w + 1)``.
 
-Both encodings are injective, so W resolves exactly when the compared
-vertices (all of V, or V minus W for the outer kind) have pairwise
-distinct codes.
+W resolves exactly when all n codes are distinct.  Both encodings are
+injective, and the outer self term leaves W out of the comparison: a
+non-member's code is a sum of at most n terms B**d with d <= n - 1, below
+n * B**(n-1) < B**n, while member w's code lies in [B**n * (w + 1),
+B**n * (w + 2)), so members (W has no repeats) collide with nothing.
 
 The search goes size-ascending, and within a size depth-first through
 the subsets in lexicographic order, updating the codes as each vertex
@@ -33,16 +36,14 @@ losing an answer:
   C(D+k-1, k) distance multisets; smaller sizes are not searched.
 * Pair pruning.  For each pair u, v the last vertex w with
   dist(u, w) != dist(v, w) is precomputed.  A partial set is dropped when
-  two compared vertices collide and no vertex at or after the next
-  candidate separates them, since a vertex that does not separate them
-  keeps their codes equal.  This is sound for the outer kind too, where adding a
-  vertex can break resolution and a pair stops counting once one of its
-  vertices joins W: w = u and w = v always separate u and v, so a pair
-  whose separators have all passed can no longer lose a vertex to W
-  either.  The colliding pairs are a bitmask that only shrinks as
-  vertices join.  In the multiset kinds two vertices with different
-  multisets can come to collide; such pairs are not tracked, which
-  prunes less but never wrongly, and the final check by codes sees them.
+  two vertices collide and no vertex at or after the next candidate
+  separates them, since a vertex that does not separate them keeps their
+  codes equal (the outer self term goes only to w, which separates
+  itself from every other vertex).  The colliding pairs are a bitmask
+  that only shrinks as vertices join.  In the multiset kinds two vertices
+  with different multisets can come to collide; such pairs are not
+  tracked, which prunes less but never wrongly, and the final check by
+  codes sees them.
 
 ``subsets_tested`` counts the full-size subsets the search checked, and
 ``pruned`` the ones it skipped by either rule.  Their sum is exactly the
@@ -128,21 +129,16 @@ def multiset_rep(g: Graph, u: int, vertices: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(vector_rep(g, u, vertices)))
 
 
-def _code_terms(row: Sequence[int], kind: str) -> tuple[int, list[int]]:
+def _code_terms(w: int, row: Sequence[int], kind: str) -> tuple[int, list[int]]:
     """(scale, terms) for the vertex w with distance row ``row`` joining W:
     each code c[u] becomes ``c[u] * scale + terms[u]``."""
     base = len(row) + 1
     if kind == "vector":
         return base, list(row)
-    return 1, [base**x for x in row]
-
-
-def _distinct(codes: Sequence[int], vs: Sequence[int], kind: str) -> bool:
-    """True iff the compared vertices have pairwise distinct codes."""
+    terms = [base**x for x in row]
     if kind == "outer":
-        inside = set(vs)
-        codes = [c for u, c in enumerate(codes) if u not in inside]
-    return len(set(codes)) == len(codes)
+        terms[w] = base ** len(row) * (w + 1)
+    return 1, terms
 
 
 def _resolves(g: Graph, vertices: Sequence[int], kind: str) -> bool:
@@ -150,9 +146,9 @@ def _resolves(g: Graph, vertices: Sequence[int], kind: str) -> bool:
     dist = _distance_matrix(g)
     codes = [0] * g.n
     for w in vs:
-        scale, terms = _code_terms(dist[w], kind)
+        scale, terms = _code_terms(w, dist[w], kind)
         codes = [c * scale + t for c, t in zip(codes, terms)]
-    return _distinct(codes, vs, kind)
+    return len(set(codes)) == g.n
 
 
 def is_resolving(g: Graph, vertices: Sequence[int]) -> bool:
@@ -187,7 +183,7 @@ def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int,
     """(witness or None, subsets_tested, pruned) of the search up to ``cap``."""
     n = g.n
     dist = _distance_matrix(g)
-    encoded = [_code_terms(row, kind) for row in dist]
+    encoded = [_code_terms(w, row, kind) for w, row in enumerate(dist)]
     # Pairs by ascending last separator: the lowest set bit of a mask of
     # colliding pairs is then the pair that runs out of separators first.
     pairs = []
@@ -213,28 +209,26 @@ def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int,
 
     def visit(start: int, left: int, colliding: int, codes: list[int]) -> bool:
         # Pick ``left`` more vertices from start..n-1 to follow ``chosen``,
-        # whose last vertex is not yet in ``codes``.  Every colliding pair
-        # needs a separator among the picks, so the next pick can go no
-        # further than the earliest last separator.
+        # whose codes are ``codes``.  Every colliding pair needs a separator
+        # among the picks, so the next pick can go no further than the
+        # earliest last separator.
         nonlocal tested, pruned
         stop = n - left
         if colliding:
             stop = min(stop, lasts[(colliding & -colliding).bit_length() - 1])
-        if stop >= start:
-            if chosen:
-                codes = step(codes, chosen[-1])
-            for w in range(start, stop + 1):
-                chosen.append(w)
-                if left > 1:
-                    if visit(w + 1, left - 1, colliding & keeps[w], codes):
-                        return True
-                else:
-                    tested += 1
-                    if not colliding & keeps[w] and _distinct(step(codes, w), chosen, kind):
-                        return True
-                chosen.pop()
+        # stop >= start: stop >= 0 at the root, and pairs w leaves colliding separate after w
+        for w in range(start, stop + 1):
+            chosen.append(w)
+            if left > 1:
+                if visit(w + 1, left - 1, colliding & keeps[w], step(codes, w)):
+                    return True
+            else:
+                tested += 1
+                if not colliding & keeps[w] and len(set(step(codes, w))) == n:
+                    return True
+            chosen.pop()
         # the subsets whose next pick lies past ``stop``
-        pruned += comb(n - max(stop + 1, start), left)
+        pruned += comb(n - stop - 1, left)
         return False
 
     floor = _size_floor(kind, n, max(map(max, dist), default=0))

@@ -199,21 +199,31 @@ def nullity_sweep_spectrum(lap):
     return tuple(pairs), n - sum(mult for _, mult in pairs)
 
 
+def _naive_reps_distinct(dist, ws, kind):
+    if kind == "vector":
+        reps = [tuple(dist[u][w] for w in ws) for u in range(len(dist))]
+    else:
+        us = [u for u in range(len(dist)) if kind == "multiset" or u not in ws]
+        reps = [tuple(sorted(dist[u][w] for w in ws)) for u in us]
+    return len(set(reps)) == len(reps)
+
+
+def naive_resolves(g, ws, kind):
+    """Whether ``ws`` resolves g in the kind ("vector", "multiset" or
+    "outer"), by comparing distance tuples and sorted-tuple multisets over
+    the vertices the kind compares (all of V, or V minus ws for outer)."""
+    return _naive_reps_distinct(naive_distance_matrix(g), ws, kind)
+
+
 def naive_dimension(g, kind, max_size=None):
-    """Smallest resolving set of the kind ("vector", "multiset" or "outer")
-    and its lexicographically first witness, by full enumeration of the
-    subsets up to ``max_size`` with sorted-tuple multisets; None when none
-    of them resolves."""
+    """Smallest resolving set of the kind and its lexicographically first
+    witness, by full enumeration of the subsets up to ``max_size`` with the
+    rule of ``naive_resolves``; None when none of them resolves."""
     dist = naive_distance_matrix(g)
     cap = g.n if max_size is None else min(max_size, g.n)
     for size in range(cap + 1):
         for ws in combinations(range(g.n), size):
-            if kind == "vector":
-                reps = [tuple(dist[u][w] for w in ws) for u in range(g.n)]
-            else:
-                us = [u for u in range(g.n) if kind == "multiset" or u not in ws]
-                reps = [tuple(sorted(dist[u][w] for w in ws)) for u in us]
-            if len(set(reps)) == len(reps):
+            if _naive_reps_distinct(dist, ws, kind):
                 return size, ws
     return None
 

@@ -58,11 +58,17 @@ class TestFamilySpecParsing:
             "g:2,2:indexed",  # constructions are for gplus only
             "gplus:3,2:iterative",  # and only for d = 2
             "gplus:2,2:fast",
+            "g:0_1,2",  # numbers are ASCII decimals, not all that int() takes
+            "g:\u0662,2",
+            "gplus:2,++2",
         ],
     )
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_family_spec(bad)
+
+    def test_sign_and_spaces(self):
+        assert parse_family_spec("g:+2, 3") == FamilySpec("g", 2, 3)
 
 
 class TestGen:
@@ -350,6 +356,41 @@ class TestErrorPaths:
             main(["gen", "g:1,1", "--format", "png"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["g:0_1,2", "g:\u0662,2"])
+    def test_non_ascii_decimal_spec(self, capsys, spec):
+        code, out, err = run_cli(capsys, "gen", spec)
+        assert (code, out) == (2, "")
+        assert err == f"lapfam: error: bad family spec {spec!r}: d and c must be integers\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen"], "the following arguments are required: spec"),
+            ([], "the following arguments are required: command"),
+            (["gen", "g:1,1", "--bogus"], "unrecognized arguments: --bogus"),
+            # the list of choices is worded differently across Python versions
+            (
+                ["dimension", "g:2,2", "--kind", "metric"],
+                "argument --kind: invalid choice: 'metric'",
+            ),
+            (["verify", "--cmax", "x"], "argument --cmax: invalid int value: 'x'"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert re.fullmatch(r"lapfam: error: [^\n]*\n", captured.err)
+        assert captured.err.startswith(f"lapfam: error: {message}")
+
+    def test_help_is_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--help"])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.err) == (0, "")
+        assert captured.out.startswith("usage: lapfam gen [-h]")
+
 
 # Fuzzed graph files.  Every limit lives in a strategy, so no example builds
 # or allocates much: csv fields and graph6 size bytes stop at 20, and 32
@@ -395,6 +436,60 @@ class TestFileFuzz:
             else:
                 assert code == 2
                 assert re.fullmatch(r"lapfam: error: [^\n]*\n", err.getvalue())
+
+
+# Fuzzed specs and flags.  Every number token parses to at most 4 under int()
+# too, ``dimension`` always has a --max-size and ``verify`` a --cmax and a
+# --dmax from the same tokens, and --allow-large is never drawn, so no
+# example can run long.
+_number_tokens = st.sampled_from(["-1", "0", "1", "2", "3", "4", "x", "", "0_1", "\u0662", "+2"])
+_count_tokens = st.sampled_from(["-1", "0", "1", "2", "x"])
+
+
+@st.composite
+def _spec_texts(draw):
+    family = draw(st.sampled_from(["g", "gplus", "GPLUS", "h"]))
+    spec = f"{family}:{draw(_number_tokens)},{draw(_number_tokens)}"
+    construction = draw(st.sampled_from([None, "direct", "Indexed", "fast", ""]))
+    return spec if construction is None else f"{spec}:{construction}"
+
+
+@st.composite
+def _cli_argvs(draw):
+    command = draw(st.sampled_from(["gen", "spectrum", "dimension", "verify"]))
+    argv = [command]
+    if command != "verify" and draw(st.integers(0, 9)):  # sometimes missing
+        argv.append(draw(_spec_texts()))
+    if command == "gen" and draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["graph6", "dot", "edgelist", "json", "png"]))]
+    if command == "dimension":
+        argv += ["--max-size", draw(_count_tokens)]
+        if draw(st.booleans()):
+            argv += ["--kind", draw(st.sampled_from(["outer", "multiset", "vector", "metric"]))]
+    if command == "verify":
+        argv += ["--cmax", draw(_count_tokens), "--dmax", draw(_count_tokens)]
+        if draw(st.booleans()):
+            argv.append("--json")
+    if not draw(st.integers(0, 9)):
+        argv.append("--bogus")
+    return argv
+
+
+class TestSpecFlagFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=_cli_argvs())
+    def test_exit_code_and_one_line(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert re.fullmatch(r"lapfam: error: [^\n]*\n", err.getvalue())
+        else:
+            assert err.getvalue() == ""
 
 
 class TestEntryPoints:

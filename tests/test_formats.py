@@ -167,12 +167,24 @@ class TestEdgeList:
             ("1,2,3", "bad edge list line: '1,2,3'"),
             ("7", "bad edge list line: '7'"),
             ("3,3", "self-loop in edge list line: '3,3'"),
+            # fields are ASCII decimals: int() alone reads 1_0 as 10 and
+            # the Arabic-Indic digit three as 3
+            ("1_0,2", "bad edge list line: '1_0,2'"),
+            ("\u0663,1", "bad edge list line: '\u0663,1'"),
+            ("+-1,2", "bad edge list line: '+-1,2'"),
+            ("-,2", "bad edge list line: '-,2'"),
         ],
     )
     def test_errors_quote_the_line(self, line, message):
         with pytest.raises(ValueError) as exc:
             read_edgelist(f"u,v\n1,2\n{line}\n")
         assert str(exc.value) == message
+
+    def test_signs_and_spaces_keep_their_meaning(self):
+        assert same_graph(read_edgelist("+1, +2 \n"), Graph.complete(2))
+        for line in ("-1,2", "0,1"):
+            with pytest.raises(ValueError, match="1-based"):
+                read_edgelist(line)
 
 
 class TestAuto:

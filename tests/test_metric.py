@@ -9,6 +9,7 @@ from lapfam import (
     DisconnectedGraphError,
     Graph,
     SearchExhausted,
+    combination_graph,
     dimension_search,
     is_multiset_resolving,
     is_outer_multiset_resolving,
@@ -18,7 +19,7 @@ from lapfam import (
     resolver_graph,
     vector_rep,
 )
-from helpers import connected_graphs, naive_dimension, naive_outer_dimension
+from helpers import connected_graphs, naive_dimension, naive_outer_dimension, naive_resolves
 
 KINDS = ("outer", "multiset", "vector")
 
@@ -90,6 +91,23 @@ class TestResolvingPredicates:
         assert is_outer_multiset_resolving(p4, (0,))
         # adding the far endpoint merges the two middle vertices
         assert not is_outer_multiset_resolving(p4, (0, 3))
+
+
+PREDICATES = {
+    "outer": is_outer_multiset_resolving,
+    "multiset": is_multiset_resolving,
+    "vector": is_resolving,
+}
+
+
+class TestPredicateOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(g=connected_graphs(max_n=7))
+    def test_every_subset_matches_the_naive_rule(self, g):
+        for size in range(g.n + 1):
+            for ws in combinations(range(g.n), size):
+                for kind, predicate in PREDICATES.items():
+                    assert predicate(g, ws) == naive_resolves(g, ws, kind), (kind, ws)
 
 
 class TestResolverSetProperty:
@@ -223,7 +241,10 @@ class TestPruning:
     def test_outer_dimension_of_gplus_4_3(self):
         # the lex-first minimal set: seven vertices, not the three resolvers
         g = resolver_graph(4, 3)
-        assert dimension_search(g, kind="outer") == (7, (0, 1, 4, 10, 12, 20, 21))
+        found = dimension_search(g, kind="outer")
+        assert found == (7, (0, 1, 4, 10, 12, 20, 21))
+        # README's "53573 of 156663"
+        assert (found.subsets_tested, found.pruned) == (53573, 103090)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_complete_graph_multiset(self, k):
@@ -250,3 +271,77 @@ class TestPruning:
             again.pruned,
         )
         assert first.subsets_tested + first.pruned == brute_force_count(g, kind, None)
+
+
+# (spec, kind, max_size, dimension, witness, subsets_tested, pruned) for the
+# perfbench ``dimension`` family jobs; dimension and witness None: the
+# search is exhausted within the cap.
+PINNED_SEARCHES = (
+    ("g:3,3", "outer", None, 5, (0, 1, 2, 3, 9), 6, 386),
+    ("g:3,3", "multiset", None, None, None, 525, 499),
+    ("g:3,3", "vector", None, 4, (0, 1, 2, 9), 45, 138),
+    ("g:3,4", "outer", None, 8, (0, 1, 2, 3, 4, 5, 6, 14), 2771, 13621),
+    ("g:3,4", "multiset", None, None, None, 15082, 17686),
+    ("g:3,4", "vector", None, 5, (0, 1, 4, 9, 14), 286, 1811),
+    ("g:4,2", "outer", None, 4, (0, 5, 7, 8), 161, 93),
+    ("g:4,2", "multiset", None, 5, (0, 1, 3, 4, 7), 288, 122),
+    ("g:4,2", "vector", None, 2, (0, 9), 9, 11),
+    ("g:4,3", "vector", None, 4, (0, 1, 9, 19), 387, 1072),
+    ("g:5,2", "outer", None, 4, (0, 1, 2, 14), 294, 294),
+    ("g:5,2", "multiset", None, 4, (0, 2, 6, 14), 398, 294),
+    ("g:5,2", "vector", None, 2, (0, 14), 14, 16),
+    ("g:6,2", "outer", None, 4, (0, 1, 2, 18), 789, 789),
+    ("g:6,2", "multiset", None, 4, (0, 2, 6, 19), 1005, 789),
+    ("g:6,2", "vector", None, 2, (0, 20), 20, 22),
+    ("gplus:2,5", "outer", None, 5, (1, 2, 3, 4, 5), 57, 716),
+    ("gplus:2,5", "multiset", None, None, None, 844, 1204),
+    ("gplus:2,5", "vector", None, 5, (1, 2, 3, 4, 5), 196, 577),
+    ("gplus:2,6", "outer", None, 6, (1, 2, 3, 4, 5, 6), 153, 3020),
+    ("gplus:2,6", "vector", None, 6, (1, 2, 3, 4, 5, 6), 533, 2640),
+    ("gplus:2,7", "outer", None, 7, (1, 2, 3, 4, 5, 6, 7), 419, 12534),
+    ("gplus:2,7", "vector", None, 7, (1, 2, 3, 4, 5, 6, 7), 1670, 11283),
+    ("gplus:2,8", "outer", None, 8, (1, 2, 3, 4, 5, 6, 7, 8), 1160, 51507),
+    ("gplus:3,3", "outer", None, 3, (10, 11, 12), 186, 192),
+    ("gplus:3,3", "multiset", None, 5, (1, 4, 10, 11, 12), 1141, 707),
+    ("gplus:3,3", "vector", None, 3, (9, 11, 12), 185, 192),
+    ("gplus:3,4", "outer", None, 4, (15, 16, 17, 18), 2065, 2971),
+    ("gplus:3,4", "vector", None, 4, (14, 16, 17, 18), 2655, 2380),
+    ("gplus:4,2", "outer", None, 3, (3, 10, 11), 159, 84),
+    ("gplus:4,2", "multiset", None, 3, (3, 10, 11), 159, 84),
+    ("gplus:4,2", "vector", None, 3, (0, 1, 8), 41, 45),
+    ("gplus:5,2", "outer", None, 4, (0, 1, 2, 6), 357, 481),
+    ("gplus:5,2", "multiset", None, 4, (1, 2, 9, 16), 689, 775),
+    ("gplus:5,2", "vector", None, 3, (0, 2, 4), 53, 118),
+    ("gplus:6,2", "outer", None, 4, (0, 1, 2, 7), 591, 1462),
+    ("gplus:6,2", "multiset", None, 4, (1, 2, 11, 22), 1144, 2579),
+    ("gplus:6,2", "vector", None, 3, (0, 2, 4), 80, 220),
+    ("gplus:4,2", "outer", 2, None, None, 34, 45),
+    ("gplus:3,4", "outer", 3, None, None, 0, 1160),
+    ("g:4,3", "vector", 3, None, None, 295, 1056),
+    ("g:6,2", "outer", 3, None, None, 773, 789),
+    ("gplus:5,2", "vector", 2, None, None, 46, 108),
+    ("gplus:6,2", "multiset", 3, None, None, 586, 1462),
+)
+
+
+class TestPinnedCounters:
+    """The work counters are outputs too: pruning reads distance rows, so a
+    change to the code encoding must leave every counter as it is."""
+
+    @pytest.mark.parametrize(
+        "spec, kind, max_size, size, witness, tested, pruned",
+        PINNED_SEARCHES,
+        ids=[f"{row[0]}-{row[1]}-{row[2]}" for row in PINNED_SEARCHES],
+    )
+    def test_search_outputs(self, spec, kind, max_size, size, witness, tested, pruned):
+        family, numbers = spec.split(":")
+        builder = {"g": combination_graph, "gplus": resolver_graph}[family]
+        g = builder(*map(int, numbers.split(",")))
+        try:
+            found = dimension_search(g, kind, max_size)
+        except SearchExhausted as exc:
+            found = exc
+            assert size is None
+        else:
+            assert tuple(found) == (size, witness)
+        assert (found.subsets_tested, found.pruned) == (tested, pruned)
