@@ -217,11 +217,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argparse parser whose usage errors are one line on stderr, exit 2;
-    its subcommand parsers are of the same class."""
+    """An argparse parser that reads ``type=int`` as specs read numbers
+    (``_decimal``) and raises its usage errors as ValueError for ``main`` to
+    report; its subcommand parsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("type", int, _decimal)
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"lapfam: error: {message}\n")
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,17 +266,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # looked up when it runs, so a patched handler is the one called
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, IndexError, OSError) as exc:
-        print(f"lapfam: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
     except MemoryError:
-        print("lapfam: error: out of memory", file=sys.stderr)
-        return 2
+        message = "out of memory"
+    # one line, whatever the message holds (an argument may hold a newline)
+    print("lapfam: error: " + "\\n".join(message.splitlines()), file=sys.stderr)
+    return 2
 
 
 def entry() -> None:
