@@ -211,15 +211,20 @@ def all_pairs_distances(g: Graph) -> list[list[int | None]]:
     return [list(row) for row in g.distances()]
 
 
+def _connected_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``g.distances()``; raises DisconnectedGraphError on any unreachable pair."""
+    rows = g.distances()
+    # vertex 0 reaches every vertex exactly when the graph is connected
+    if rows and None in rows[0]:
+        raise DisconnectedGraphError("the graph is not connected")
+    return rows  # type: ignore[return-value]
+
+
 def eccentricities(g: Graph) -> list[int]:
     """Eccentricity of every vertex; raises DisconnectedGraphError on any unreachable pair."""
     if g.n == 0:
         raise ValueError("eccentricities of the empty graph are undefined")
-    rows = g.distances()
-    # vertex 0 reaches every vertex exactly when the graph is connected
-    if None in rows[0]:
-        raise DisconnectedGraphError("vertex 0 cannot reach the whole graph")
-    return [max(row) for row in rows]  # type: ignore[type-var]
+    return [max(row) for row in _connected_distances(g)]
 
 
 def diameter(g: Graph) -> int:

@@ -9,14 +9,14 @@ representation attached to each vertex u:
   need to be distinguished.
 
 One representation rule serves the predicates and the search.  Every
-vertex u gets one integer code for its representation, built as the
-vertices of W join one at a time, with base B = n + 1:
+vertex u gets one integer code, and when w joins W each code gains one
+term, ``code + terms[u]``, with base B = n + 1:
 
-* vector: ``code = code * B + dist(w, u)``, the distance vector read as
-  base-B digits (every distance is at most n - 1 < B);
-* multiset and outer: ``code = code + B ** dist(w, u)``, the count of each
-  distance read as a base-B digit (every count is at most |W| <= n < B),
-  except that in the outer kind w's own term is ``B**n * (w + 1)``.
+* vector: ``dist(w, u) * B**w``, the distance as base-B digit w (every
+  distance is at most n - 1 < B, and members of W are distinct);
+* multiset and outer: ``B ** dist(w, u)``, the count of each distance as
+  a base-B digit (every count is at most |W| <= n < B), except that in
+  the outer kind w's own term is ``B**n * (w + 1)``.
 
 W resolves exactly when all n codes are distinct.  Both encodings are
 injective, and the outer self term leaves W out of the comparison: a
@@ -55,7 +55,7 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .graphs import DisconnectedGraphError, Graph
+from .graphs import Graph, _connected_distances
 
 # A subset search over more than this many vertices will not finish in
 # reasonable time; callers must opt in explicitly.
@@ -97,14 +97,6 @@ class SearchResult(tuple):
         return self
 
 
-def _distance_matrix(g: Graph) -> tuple[tuple[int, ...], ...]:
-    rows = g.distances()
-    # vertex 0 reaches every vertex exactly when the graph is connected
-    if rows and None in rows[0]:
-        raise DisconnectedGraphError("distance representations need a connected graph")
-    return rows  # type: ignore[return-value]
-
-
 def _check_vertices(g: Graph, vertices: Sequence[int]) -> tuple[int, ...]:
     vs = tuple(vertices)
     for v in vs:
@@ -120,7 +112,7 @@ def vector_rep(g: Graph, u: int, order: Sequence[int]) -> tuple[int, ...]:
     order = _check_vertices(g, order)
     if not 0 <= u < g.n:
         raise IndexError(f"vertex {u} out of range 0..{g.n - 1}")
-    row = _distance_matrix(g)[u]
+    row = _connected_distances(g)[u]
     return tuple(row[w] for w in order)
 
 
@@ -129,25 +121,25 @@ def multiset_rep(g: Graph, u: int, vertices: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(vector_rep(g, u, vertices)))
 
 
-def _code_terms(w: int, row: Sequence[int], kind: str) -> tuple[int, list[int]]:
-    """(scale, terms) for the vertex w with distance row ``row`` joining W:
-    each code c[u] becomes ``c[u] * scale + terms[u]``."""
+def _code_terms(w: int, row: Sequence[int], kind: str) -> list[int]:
+    """What the vertex w with distance row ``row`` adds to each code when
+    it joins W: code c[u] becomes ``c[u] + terms[u]``."""
     base = len(row) + 1
     if kind == "vector":
-        return base, list(row)
+        digit = base**w
+        return [x * digit for x in row]
     terms = [base**x for x in row]
     if kind == "outer":
         terms[w] = base ** len(row) * (w + 1)
-    return 1, terms
+    return terms
 
 
 def _resolves(g: Graph, vertices: Sequence[int], kind: str) -> bool:
     vs = _check_vertices(g, vertices)
-    dist = _distance_matrix(g)
+    dist = _connected_distances(g)
     codes = [0] * g.n
     for w in vs:
-        scale, terms = _code_terms(w, dist[w], kind)
-        codes = [c * scale + t for c, t in zip(codes, terms)]
+        codes = [c + t for c, t in zip(codes, _code_terms(w, dist[w], kind))]
     return len(set(codes)) == g.n
 
 
@@ -182,7 +174,10 @@ def _size_floor(kind: str, n: int, diameter: int) -> int:
 def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int, int]:
     """(witness or None, subsets_tested, pruned) of the search up to ``cap``."""
     n = g.n
-    dist = _distance_matrix(g)
+    dist = _connected_distances(g)
+    floor = _size_floor(kind, n, max(map(max, dist), default=0))
+    if floor == 0:  # at most one vertex: the empty set resolves
+        return (), 1, 0
     encoded = [_code_terms(w, row, kind) for w, row in enumerate(dist)]
     # Pairs by ascending last separator: the lowest set bit of a mask of
     # colliding pairs is then the pair that runs out of separators first.
@@ -197,15 +192,14 @@ def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int,
     lasts = [last for last, _, _ in pairs]
     # keeps[w]: the pairs that w joining W leaves colliding
     keeps = [
-        int("".join("1" if row[u] == row[v] else "0" for _, u, v in reversed(pairs)) or "0", 2)
+        int("".join("1" if row[u] == row[v] else "0" for _, u, v in reversed(pairs)), 2)
         for row in dist
     ]
     tested = pruned = 0
     chosen: list[int] = []
 
     def step(codes: list[int], w: int) -> list[int]:
-        scale, terms = encoded[w]
-        return [c * scale + t for c, t in zip(codes, terms)]
+        return [c + t for c, t in zip(codes, encoded[w])]
 
     def visit(start: int, left: int, colliding: int, codes: list[int]) -> bool:
         # Pick ``left`` more vertices from start..n-1 to follow ``chosen``,
@@ -231,9 +225,6 @@ def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int,
         pruned += comb(n - stop - 1, left)
         return False
 
-    floor = _size_floor(kind, n, max(map(max, dist), default=0))
-    if floor == 0:  # at most one vertex: the empty set resolves
-        return (), 1, 0
     floor = min(floor, cap + 1)
     pruned += sum(comb(n, size) for size in range(floor))
     everything = (1 << len(pairs)) - 1

@@ -163,7 +163,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
                 for u in range(g.n):
                     # max coordinate gap from u to each later vertex
                     gaps = [[abs(col[u] - y) for y in col[u + 1 :]] for col in cols]
-                    want = list(map(max, *gaps)) if len(gaps) > 1 else gaps[0]
+                    want = list(map(max, zip(*gaps)))
                     got = dist[u][u + 1 :]
                     if got != want:
                         v = next(v for v, w, x in zip(range(u + 1, g.n), want, got) if w != x)

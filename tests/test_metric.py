@@ -109,6 +109,25 @@ class TestPredicateOracle:
                 for kind, predicate in PREDICATES.items():
                     assert predicate(g, ws) == naive_resolves(g, ws, kind), (kind, ws)
 
+    # Family members up to 24 vertices, where the codes are widest: the
+    # vector kind's digits reach B**(n-1), the outer self term B**n * n.
+    MEMBERS = {
+        "gplus:4,3": resolver_graph(4, 3),
+        "gplus:3,4": resolver_graph(3, 4),
+        "g:4,3": combination_graph(4, 3),
+        "g:3,4": combination_graph(3, 4),
+        "gplus:2,11": resolver_graph(2, 11),
+    }
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), spec=st.sampled_from(sorted(MEMBERS)))
+    def test_family_members_match_the_naive_rule(self, data, spec):
+        g = self.MEMBERS[spec]
+        size = data.draw(st.integers(0, g.n), label="size")
+        ws = tuple(data.draw(st.permutations(range(g.n)), label="order")[:size])
+        for kind, predicate in PREDICATES.items():
+            assert predicate(g, ws) == naive_resolves(g, ws, kind), (spec, kind, ws)
+
 
 class TestResolverSetProperty:
     """The designed resolver set w1..wc seen from outside, per alphabet size."""
