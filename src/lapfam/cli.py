@@ -36,7 +36,7 @@ from .formats import _decimal, read_graph_auto, write_dot, write_edgelist, write
 from .graphs import Graph
 from .metric import SEARCH_VERTEX_LIMIT, SearchExhausted, dimension_search
 from .metric import _KINDS, _check_search
-from .spectra import integral_spectrum, laplacian
+from .spectra import graph_spectrum
 from .verify import run_verify
 
 # gplus builders by construction, "direct" (the default) the only one for
@@ -146,7 +146,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    spec = integral_spectrum(laplacian(g))
+    spec = graph_spectrum(g)
     payload = {
         "n": g.n,
         "edges": g.edge_count,

@@ -68,7 +68,11 @@ def resolver_graph(d: int, c: int) -> Graph:
     ones; resolvers are pairwise nonadjacent.  Vertex order: combination
     labels in lexicographic order, then w_1..w_c.
     """
-    base = combination_graph(d, c)
+    return _with_resolvers(combination_graph(d, c), c)
+
+
+def _with_resolvers(base: Graph, c: int) -> Graph:
+    """``resolver_graph(d, c)`` from its base ``combination_graph(d, c)``."""
     nb = base.n
     ones = [label.ones for label in base.labels]
     masks = [base.neighbor_mask(v) | ((1 << k) - 1) << nb for v, k in enumerate(ones)]

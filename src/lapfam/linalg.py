@@ -13,7 +13,7 @@ The module holds only what the library calls.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import Sequence
 
@@ -79,6 +79,20 @@ def hadamard_bound(a: Sequence[Sequence[int]]) -> int:
     return max(e)
 
 
+def prime_count(bound: int) -> int:
+    """The fewest certified primes below 2**78, taken in descending order,
+    whose product exceeds 2 * bound; they are ``_primes[:k]``."""
+    modulus, k = 1, 0
+    while modulus <= 2 * bound:
+        while len(_primes) <= k:  # find the next certified prime below 2**78
+            p = (_primes[-1] if _primes else (1 << 78) + 1) - 2
+            while not is_prime(p):
+                p -= 2
+            _primes.append(p)
+        modulus, k = modulus * _primes[k], k + 1
+    return k
+
+
 def _char_poly_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int:
     """det(xI - A) mod a squarefree q: reduce A to upper Hessenberg form H by
     similarity, then p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1} p_i
@@ -130,14 +144,8 @@ def char_poly(a: Sequence[Sequence[int]]) -> CharPoly:
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
     bound = hadamard_bound(a)
-    modulus, k = 1, 0
-    while modulus <= 2 * bound:
-        while len(_primes) <= k:  # find the next certified prime below 2**78
-            p = (_primes[-1] if _primes else (1 << 78) + 1) - 2
-            while not is_prime(p):
-                p -= 2
-            _primes.append(p)
-        modulus, k = modulus * _primes[k], k + 1
+    k = prime_count(bound)
+    modulus = prod(_primes[:k])
     coeffs, joined, work = [0] * (n + 1), 1, [modulus]
     while work:  # squarefree, pairwise coprime; with `joined`, their product is M
         q = work.pop()
@@ -168,6 +176,16 @@ def poly_deflate(coeffs: Sequence[int], root: int) -> list[int]:
     if quotient.pop():
         raise ArithmeticError(f"x - {root} does not divide the polynomial")
     return quotient[::-1]
+
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two polynomials, coefficients by ascending degree; one
+    pass over ``a`` per coefficient of ``b``, so put the shorter one second."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j : j + len(a)] = [z + y * x for z, x in zip(out[j:], a)]
+    return out
 
 
 def rank(a: Sequence[Sequence[int]]) -> int:

@@ -1,21 +1,30 @@
-"""Exact Laplacian spectra of the d = 2 extended family, and gap-spectrum checks.
+"""Exact Laplacian spectra, the d = 2 extended family's eigenpairs, and
+gap-spectrum checks.
+
+``graph_spectrum`` splits a graph along its cotree.  A disconnected part
+is the union of its components, whose spectra add up as multisets.  A
+part with a disconnected complement is the join of the complement's
+components: on parts of n_1..n_k vertices, n in all, it has the
+eigenvalues 0 and n (k - 1 times), and each part's spectrum less one 0,
+shifted up by n - n_i (Mohar, "The Laplacian spectrum of graphs", 1991;
+Merris, "Laplacian graph eigenvectors", Linear Algebra Appl. 278, 1998).
+Only a prime part, neither, takes a ``linalg.char_poly`` pass.
+``integral_spectrum`` takes the Laplacian matrix and always takes one:
+eigenvalues lie in [0, n], so dividing by x - lam for lam = n..0 finds
+the whole integral part, and as L is symmetric each root's multiplicity
+is dim ker(L - lam*I).  What remains is reported by degree only, as the
+``residual_degree`` of the one ``Spectrum`` result.
 
 The extended graph on 2c+1 vertices has Laplacian spectrum
 {0, 1, ..., 2c+1} \\ {c+1}, every eigenvalue simple, with closed-form
 integer eigenvectors falling into four classes indexed by r = 0..2c.
-``integral_spectrum`` extracts the integral part of any Laplacian
-spectrum exactly: Laplacian eigenvalues lie in [0, n], so dividing the
-characteristic polynomial by x - lam for the integer candidates 0..n
-finds the whole integral part, and as L is symmetric each root's
-multiplicity is dim ker(L - lam*I); what remains is reported by degree
-only, as the ``residual_degree`` of the one ``Spectrum`` result.
-
 A graph on n vertices *realizes the gap spectrum at i* when its Laplacian
 spectrum is exactly {0..n} \\ {i} with every eigenvalue simple.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -23,7 +32,7 @@ from typing import Sequence
 
 from . import linalg
 from .families import resolver_graph_indexed
-from .graphs import Graph, disjoint_union, join
+from .graphs import Graph, _iter_bits, disjoint_union, join
 from .linalg import IntMatrix
 
 
@@ -80,13 +89,36 @@ class EigenpairReport:
 
 def laplacian(g: Graph) -> IntMatrix:
     """Degree matrix minus adjacency matrix, one row per neighbourhood mask."""
+    return _laplacian([g.neighbor_mask(v) for v in range(g.n)], (1 << g.n) - 1)
+
+
+def _laplacian(adj: Sequence[int], part: int) -> IntMatrix:
+    """Laplacian of the subgraph induced on the vertex set ``part``."""
+    vertices = list(_iter_bits(part))
     out = []
-    for i in range(g.n):
-        mask = g.neighbor_mask(i)
-        row = [-(mask >> j & 1) for j in range(g.n)]
-        row[i] = mask.bit_count()
+    for i, v in enumerate(vertices):
+        mask = adj[v]
+        row = [-(mask >> u & 1) for u in vertices]
+        row[i] = (mask & part).bit_count()
         out.append(row)
     return out
+
+
+def _integer_roots(cp: Sequence[int], n: int) -> tuple[Counter, list[int]]:
+    """Multiplicities of the roots n..0 of a Laplacian's characteristic
+    polynomial (its only possible integer roots), and the factor left after
+    dividing them off."""
+    roots, rest = Counter(), list(cp)
+    for lam in range(n, -1, -1):
+        while linalg.poly_eval(rest, lam) == 0:
+            rest = linalg.poly_deflate(rest, lam)
+            roots[lam] += 1
+    return roots, rest
+
+
+def _spectrum(roots: Counter, rest: Sequence[int], cp: Sequence[int], moduli: int) -> Spectrum:
+    pairs = sorted((+roots).items(), reverse=True)
+    return Spectrum(tuple(pairs), len(rest) - 1, tuple(cp), moduli)
 
 
 def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum:
@@ -97,17 +129,90 @@ def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum:
     equals dim ker(L - lam*I).  The degree of what is left after the
     divisions is the residual degree.
     """
-    found = linalg.char_poly(lap)
-    cp = rest = tuple(found)
-    pairs = []
-    for lam in range(len(lap), -1, -1):
-        mult = 0
-        while linalg.poly_eval(rest, lam) == 0:
-            rest = linalg.poly_deflate(rest, lam)
-            mult += 1
-        if mult:
-            pairs.append((lam, mult))
-    return Spectrum(tuple(pairs), len(rest) - 1, cp, found.moduli)
+    cp = linalg.char_poly(lap)
+    return _spectrum(*_integer_roots(cp, len(lap)), cp, cp.moduli)
+
+
+def _parts(part: int, adj: Sequence[int]) -> list[int]:
+    """Vertex sets of the components of the subgraph on ``part``, where
+    ``adj[v]`` holds v's neighbours (a bit for v itself is ignored)."""
+    out = []
+    while part:
+        seen = frontier = part & -part
+        while frontier:
+            reach = 0
+            for v in _iter_bits(frontier):
+                reach |= adj[v]
+            frontier = reach & part & ~seen
+            seen |= frontier
+        out.append(seen)
+        part &= ~seen
+    return out
+
+
+def _shifted(p: Sequence[int], s: int) -> list[int]:
+    """p(x - s), by Horner's rule in x - s."""
+    if not s:
+        return list(p)
+    out = [p[-1]]
+    for c in reversed(p[:-1]):
+        out = linalg.poly_mul(out, (-s, 1))
+        out[0] += c
+    return out
+
+
+def graph_spectrum(g: Graph) -> Spectrum:
+    """``integral_spectrum(laplacian(g))``, computed along g's cotree.
+
+    Each part is walked at a shift, the sum of n - n_i over the joins above
+    it.  A join adds 0 and n (k - 1 times) at its shift and takes back one
+    0 from each part, which is that part's shift; the count of every value
+    ends non-negative.  A prime part's integer roots are counted at its
+    shift, and the factor left is shifted to match.  ``moduli`` is the
+    number of primes ``char_poly`` would take for all of L.
+    """
+    adj = [g.neighbor_mask(v) for v in range(g.n)]
+    co = [~mask for mask in adj]  # the complement's neighbourhoods
+    roots: Counter = Counter()
+    rest = [1]
+    # (vertex set, shift, the neighbourhoods whose walk may split it): a
+    # union's parts are connected and a join's parts co-connected, so only
+    # the whole graph needs two walks.
+    work = [((1 << g.n) - 1, 0, (adj, co))] if g.n else []
+    while work:
+        part, shift, walks = work.pop()
+        size = part.bit_count()
+        if size == 1:
+            roots[shift] += 1
+            continue
+        for nbrs in walks:
+            if len(parts := _parts(part, nbrs)) > 1:
+                break
+        else:  # a prime part
+            found, left = _integer_roots(linalg.char_poly(_laplacian(adj, part)), size)
+            for lam, mult in found.items():
+                roots[shift + lam] += mult
+            rest = linalg.poly_mul(_shifted(left, shift), rest)
+            continue
+        if nbrs is adj:  # a union
+            work += [(p, shift, (co,)) for p in parts]
+            continue
+        # a join: 0 and n (k - 1 times), and each part less its own 0
+        roots[shift] += 1
+        roots[shift + size] += len(parts) - 1
+        for p in parts:
+            at = shift + size - p.bit_count()
+            roots[at] -= 1
+            work.append((p, at, (adj,)))
+    cp = rest
+    for lam, mult in roots.items():
+        for _ in range(mult):
+            cp = linalg.poly_mul(cp, (-lam, 1))
+    assert len(cp) == g.n + 1  # every count taken back was added
+    # A Laplacian row of degree d > 0 has norm sqrt(d*d + d), whose ceiling
+    # d + 1 is the norm of the row [d + 1]; hadamard_bound reads only norms.
+    bound = linalg.hadamard_bound([[deg + 1] for deg in map(int.bit_count, adj) if deg])
+    return _spectrum(roots, rest, cp, linalg.prime_count(bound))
 
 
 def eigenvalue_of_class(c: int, r: int) -> int:
@@ -233,7 +338,7 @@ def realizes_gap_spectrum(g: Graph, i: int) -> bool:
     """True iff the Laplacian spectrum of g is {0..n} \\ {i}, all simple."""
     if not 0 <= i <= g.n:
         raise ValueError(f"excluded value {i} out of range 0..{g.n}")
-    return integral_spectrum(laplacian(g)).gap == i
+    return graph_spectrum(g).gap == i
 
 
 def realizability_step(h: Graph, i_prev: int, n_prev: int) -> Graph:

@@ -49,7 +49,7 @@ from .spectra import (
     edge_partition_sums,
     eigenvalue_of_class,
     eigenvector_family,
-    integral_spectrum,
+    graph_spectrum,
     laplacian,
     rayleigh,
     realizability_step,
@@ -130,7 +130,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
     # One build per family member per run, so the checks share each graph
     # and its distance matrix; nothing outlives the call.
     combination_graph = cache(families.combination_graph)
-    resolver_graph = cache(families.resolver_graph)
+    resolver_graph = cache(lambda d, c: families._with_resolvers(combination_graph(d, c), c))
 
     def run(name: str, fn: Callable[[], str], status: str = "pass") -> None:
         start = time.perf_counter()
@@ -237,7 +237,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
 
     def spectrum_gap() -> str:
         for c in range(1, cmax + 1):
-            spec = integral_spectrum(laplacian(resolver_graph_indexed(c)))
+            spec = graph_spectrum(resolver_graph_indexed(c))
             _require(spec.gap == c + 1, f"spectrum c={c}: {spec.pairs}")
         return f"spectrum is 0..2c+1 minus c+1, all simple, for c<={cmax}"
 
@@ -366,7 +366,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
     def large_alphabet_spectra() -> str:
         outcomes = []
         for d, c in ((3, 1), (3, 2), (3, 3), (4, 2)):
-            spec = integral_spectrum(laplacian(resolver_graph(d, c)))
+            spec = graph_spectrum(resolver_graph(d, c))
             verdict = "integral" if spec.integral else f"{spec.residual_degree} non-integral"
             outcomes.append(f"(d={d},c={c}): {verdict}")
         return "alphabets above 2 stay out of scope; " + "; ".join(outcomes)

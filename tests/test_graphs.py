@@ -128,6 +128,19 @@ class TestFromMasks:
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, [(0, 0)])
 
+    @settings(max_examples=80, deadline=None)
+    @given(g=labeled_graphs(max_n=10), data=st.data())
+    def test_edge_input_equals_the_walked_masks(self, g, data):
+        # Graph(n, edges) skips the symmetry walk on the masks it packs;
+        # duplicate and reversed edges must still collapse as before.
+        edges = list(g.edges())
+        edges += data.draw(st.lists(st.sampled_from(edges))) if edges else []
+        edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+        built = Graph(g.n, edges, g.labels)
+        walked = Graph._from_masks(masks(g), g.labels)
+        assert masks(built) == masks(walked)
+        assert (built.edge_count, built.labels) == (walked.edge_count, walked.labels)
+
 
 class TestLabels:
     def test_combination_str(self):

@@ -13,6 +13,7 @@ from lapfam.linalg import (
     mat_vec,
     poly_deflate,
     poly_eval,
+    prime_count,
     rank,
 )
 from helpers import (
@@ -23,6 +24,8 @@ from helpers import (
     per_prime_charpoly,
     poly_mul,
 )
+
+polys = st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=8)
 
 
 def square_matrices(max_n=5, lo=-5, hi=5):
@@ -157,6 +160,11 @@ class TestModularCharPoly:
         bound = hadamard_bound(m)
         assert prod(primes) > 2 * bound >= prod(primes[:-1])
 
+    @settings(max_examples=40, deadline=None)
+    @given(m=square_matrices(max_n=10, lo=-(10**4), hi=10**4))
+    def test_prime_count_is_the_passes_count(self, m):
+        assert prime_count(hadamard_bound(m)) == char_poly(m).moduli
+
     @pytest.mark.parametrize("c", [24, 32])
     def test_gap_spectrum_closed_form(self, c):
         # gplus:2,c has Laplacian spectrum {0..2c+1} \ {c+1}, all simple
@@ -260,6 +268,13 @@ class TestPolyEval:
         assert poly_eval(coeffs, 0) == 0
         assert poly_eval(coeffs, 2) == 0
         assert poly_eval(coeffs, 1) != 0
+
+
+class TestPolyMul:
+    @settings(max_examples=60, deadline=None)
+    @given(a=polys, b=polys)
+    def test_matches_the_schoolbook_oracle(self, a, b):
+        assert linalg.poly_mul(a, b) == poly_mul(a, b)
 
 
 class TestPolyDeflate:

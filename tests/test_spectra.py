@@ -13,6 +13,7 @@ from lapfam import (
     edge_partition_sums,
     eigenvalue_of_class,
     eigenvector_family,
+    graph_spectrum,
     integral_spectrum,
     join,
     laplacian,
@@ -21,6 +22,7 @@ from lapfam import (
     realizes_gap_spectrum,
     resolver_graph,
     resolver_graph_indexed,
+    resolver_graph_iterative,
     verify_eigenpairs,
 )
 from lapfam import spectra
@@ -160,6 +162,121 @@ class TestAgainstNullitySweep:
         monkeypatch.setattr(spectra.linalg, "char_poly", counting)
         integral_spectrum(laplacian(resolver_graph(2, 3)))
         assert len(calls) == 1
+
+
+C5 = Graph(5, [(i, (i + 1) % 5) for i in range(5)])
+
+# Every family member the tests build, as (spec, graph).
+FAMILY = [
+    *((f"gplus:{d},{c}", lambda d=d, c=c: resolver_graph(d, c))
+      for d, cs in ((1, range(1, 9)), (2, range(1, 25)), (3, range(1, 5)), (4, range(1, 4)))
+      for c in cs),
+    *((f"g:{d},{c}", lambda d=d, c=c: combination_graph(d, c))
+      for d, cs in ((1, range(1, 4)), (2, range(1, 9)), (3, range(1, 6)), (4, range(1, 4)))
+      for c in cs),
+    *((f"gplus:2,{c}:indexed", lambda c=c: resolver_graph_indexed(c)) for c in range(1, 9)),
+    *((f"gplus:2,{c}:iterative", lambda c=c: resolver_graph_iterative(c)) for c in range(1, 9)),
+]
+
+
+@st.composite
+def cographs(draw, max_leaves=5):
+    """Random joins and unions of drawn graphs on up to 4 vertices (which
+    may be prime, such as the 4-path): at most 20 vertices."""
+    return draw(
+        st.recursive(
+            graphs(max_n=4),
+            lambda parts: st.tuples(st.sampled_from([join, disjoint_union]), parts, parts).map(
+                lambda t: t[0](t[1], t[2])
+            ),
+            max_leaves=max_leaves,
+        )
+    )
+
+
+def spy_char_poly(monkeypatch):
+    """The orders of the matrices ``char_poly`` is called on."""
+    orders = []
+    real = spectra.linalg.char_poly
+
+    def counting(mat):
+        orders.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(spectra.linalg, "char_poly", counting)
+    return orders
+
+
+class TestGraphSpectrum:
+    """The cotree route must return the matrix route's whole Spectrum,
+    ``charpoly`` and ``moduli`` included."""
+
+    def test_corpus(self, corpus_graph):
+        assert graph_spectrum(corpus_graph) == integral_spectrum(laplacian(corpus_graph))
+
+    def test_empty_graph(self):
+        assert graph_spectrum(Graph(0)) == integral_spectrum([])
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=graphs(max_n=8))
+    def test_random_graphs(self, g):
+        assert graph_spectrum(g) == integral_spectrum(laplacian(g))
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=cographs())
+    def test_cographs(self, g):
+        assert graph_spectrum(g) == integral_spectrum(laplacian(g))
+
+    @pytest.mark.parametrize("build", [b for _, b in FAMILY], ids=[s for s, _ in FAMILY])
+    def test_family_members(self, build):
+        g = build()
+        assert graph_spectrum(g) == integral_spectrum(laplacian(g))
+
+    @pytest.mark.parametrize(
+        "g, prime_orders",
+        [
+            (join(Graph.path(4), Graph(1)), [4]),
+            (join(Graph(1), Graph.path(4)), [4]),
+            (disjoint_union(C5, join(Graph.path(4), Graph.complete(2))), [4, 5]),
+            (join(join(Graph.path(4), C5), disjoint_union(Graph.path(4), Graph(2))), [4, 4, 5]),
+            (join(C5, C5), [5, 5]),
+        ],
+        ids=["P4+K1", "K1+P4", "C5|(P4+K2)", "(P4+C5)+(P4|2K1)", "C5+C5"],
+    )
+    def test_prime_parts_under_joins(self, monkeypatch, g, prime_orders):
+        # Each prime part's non-integral factor is shifted by its joins.
+        want = integral_spectrum(laplacian(g))
+        orders = spy_char_poly(monkeypatch)
+        spec = graph_spectrum(g)
+        assert spec == want and not spec.integral
+        assert sorted(orders) == prime_orders
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            *(lambda c=c: resolver_graph(2, c) for c in (1, 2, 7, 24, 48)),
+            *(lambda c=c: resolver_graph(1, c) for c in (1, 5, 29)),  # stars
+            *(lambda c=c: combination_graph(2, c) for c in (1, 5, 24)),  # complete
+        ],
+    )
+    def test_no_char_poly_for_cographs(self, monkeypatch, build):
+        g = build()
+        orders = spy_char_poly(monkeypatch)
+        spec = graph_spectrum(g)
+        assert orders == [] and spec.integral
+
+    @pytest.mark.parametrize("d, c", [(3, 1), (3, 2), (3, 4), (4, 2)])
+    def test_one_char_poly_for_a_prime_graph(self, monkeypatch, d, c):
+        g = resolver_graph(d, c)
+        orders = spy_char_poly(monkeypatch)
+        graph_spectrum(g)
+        assert orders == [g.n]
+
+    def test_large_gap_member(self):
+        g = resolver_graph(2, 128)
+        spec = graph_spectrum(g)
+        assert (spec.gap, spec.distinct, spec.moduli) == (129, True, 22)
+        assert spec.eigenvalues == threshold_spectrum(g)
 
 
 class TestGapProperty:
@@ -386,6 +503,7 @@ class TestThresholdOracle:
     def test_family_members(self, build, c):
         g = build(c)
         assert integral_spectrum(laplacian(g)).eigenvalues == threshold_spectrum(g)
+        assert graph_spectrum(g).eigenvalues == threshold_spectrum(g)
 
     @settings(max_examples=60, deadline=None)
     @given(steps=st.lists(st.booleans(), max_size=15))
@@ -395,3 +513,4 @@ class TestThresholdOracle:
         for dominating in steps:
             g = join(g, Graph(1)) if dominating else disjoint_union(g, Graph(1))
         assert integral_spectrum(laplacian(g)).eigenvalues == threshold_spectrum(g)
+        assert graph_spectrum(g).eigenvalues == threshold_spectrum(g)

@@ -14,7 +14,7 @@ from lapfam import (
     resolver_graph_indexed,
     run_verify,
 )
-from lapfam import graphs, linalg, spectra
+from lapfam import families, graphs, linalg, spectra
 from lapfam import verify as verify_module
 
 EXPECTED_AT_SMALL_RANGE = [
@@ -100,15 +100,15 @@ class TestFailurePaths:
 
     def test_wrong_spectrum_fails_gap(self, monkeypatch):
         # c = 2 has spectrum {5, 4, 2, 1, 0}; report 3 in place of 2
-        real = spectra.integral_spectrum
+        real = spectra.graph_spectrum
         target = laplacian(resolver_graph_indexed(2))
         wrong = ((5, 1), (4, 1), (3, 1), (1, 1), (0, 1))
 
-        def skewed(lap):
-            spec = real(lap)
-            return replace(spec, pairs=wrong) if lap == target else spec
+        def skewed(g):
+            spec = real(g)
+            return replace(spec, pairs=wrong) if laplacian(g) == target else spec
 
-        monkeypatch.setattr(verify_module, "integral_spectrum", skewed)
+        monkeypatch.setattr(verify_module, "graph_spectrum", skewed)
         report = run_verify(cmax=2, dmax=2)
         check = check_named(report, "spectrum-gap")
         assert check.status == "fail"
@@ -174,9 +174,26 @@ class TestSharing:
         second = run_counted()
         assert sum(second.values()) == sum(first.values())
 
+    @pytest.mark.parametrize("cmax, dmax", [(8, 4), (1, 4), (2, 2)])
+    def test_one_base_build_per_member(self, monkeypatch, cmax, dmax):
+        # resolver_graph extends the battery's own G(d, c) rather than
+        # building a second copy (64 builds for 32 members at 8, 4).
+        real = families.combination_graph
+        calls = Counter()
+
+        def counted(d, c):
+            calls[d, c] += 1
+            return real(d, c)
+
+        monkeypatch.setattr(families, "combination_graph", counted)
+        assert run_verify(cmax=cmax, dmax=dmax).ok
+        assert set(calls.values()) == {1}
+        assert len(calls) >= cmax * dmax
+
     def test_one_char_poly_per_matrix_per_check(self, monkeypatch):
-        # 8 gap spectra, 7 chain steps plus the last chain graph, and 4
-        # large-alphabet spectra (35 when the battery re-checked what
+        # Only the 4 prime large-alphabet members take a pass: the gap
+        # spectra and the chain's graphs are cographs (20 passes when every
+        # spectrum took one, 35 when the battery re-checked what
         # Spectrum.gap and realizability_step already check).
         real = linalg.char_poly
         calls = Counter()
@@ -190,13 +207,9 @@ class TestSharing:
 
         monkeypatch.setattr(linalg, "char_poly", counted)
         assert run_verify(cmax=8, dmax=4).ok
-        assert sum(calls.values()) == 20
+        assert sum(calls.values()) == 4
         assert set(calls.values()) == {1}
-        assert Counter(check for check, _ in calls) == {
-            "spectrum_gap": 8,
-            "realizability_chain": 8,
-            "large_alphabet_spectra": 4,
-        }
+        assert Counter(check for check, _ in calls) == {"large_alphabet_spectra": 4}
 
 
 class TestVerifyReport:
