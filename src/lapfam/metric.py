@@ -18,17 +18,19 @@ term, ``code + terms[u]``, with base B = n + 1:
   a base-B digit (every count is at most |W| <= n < B), except that in
   the outer kind w's own term is ``B**n * (w + 1)``.
 
-W resolves exactly when all n codes are distinct.  Both encodings are
-injective, and the outer self term leaves W out of the comparison: a
-non-member's code is a sum of at most n terms B**d with d <= n - 1, below
-n * B**(n-1) < B**n, while member w's code lies in [B**n * (w + 1),
-B**n * (w + 2)), so members (W has no repeats) collide with nothing.
+W resolves exactly when all n codes are distinct, the one question the
+predicates ask and the search asks of every full-size subset that its
+rules below leave open.  Both encodings are injective, and the outer
+self term leaves W out of the comparison: a non-member's code is a sum
+of at most n terms B**d with d <= n - 1, below n * B**(n-1) < B**n,
+while member w's code lies in [B**n * (w + 1), B**n * (w + 2)), so
+members (W has no repeats) collide with nothing.
 
 The search goes size-ascending, and within a size depth-first through
 the subsets in lexicographic order, updating the codes as each vertex
 joins, so the reported dimension is minimal and the witness is the
-lexicographically first one of that size.  Two rules skip work without
-losing an answer:
+lexicographically first one of that size.  Two rules skip subsets and
+a third skips code tests, none losing an answer:
 
 * Counting bound.  The vertices outside a k-set need distinct codes, and
   over {1..D}, D the diameter, there are only D**k distance vectors
@@ -42,17 +44,24 @@ losing an answer:
   itself from every other vertex).  The colliding pairs are a bitmask
   that only shrinks as vertices join.  In the multiset kinds two vertices
   with different multisets can come to collide; such pairs are not
-  tracked, which prunes less but never wrongly, and the final check by
-  codes sees them.
+  tracked, which prunes less but never wrongly; the last pick sees them.
+* Last pick.  With one vertex left to pick, the n codes are grouped into
+  classes of equal codes, and only the candidates that separate every
+  pair within a class get the distinct-codes test, in ascending order: a
+  last pick that does not separate two equal codes adds the same term to
+  both.
 
-``subsets_tested`` counts the full-size subsets the search checked, and
-``pruned`` the ones it skipped by either rule.  Their sum is exactly the
-number of subsets a brute-force search tests before it stops.
+``subsets_tested`` counts the full-size subsets the search reached, that
+is, the ones neither rule skipped, whether or not the last-pick filter
+spared their codes the test; ``pruned`` counts the ones the counting
+bound or pair pruning skipped.  Their sum is exactly the number of
+subsets a brute-force search tests before it stops.
 """
 
 from __future__ import annotations
 
 from math import comb
+from operator import add, and_
 from typing import Sequence
 
 from .graphs import Graph, _connected_distances
@@ -171,6 +180,41 @@ def _size_floor(kind: str, n: int, diameter: int) -> int:
     return k
 
 
+def _separators(
+    dist: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """The search's pair tables for the distance matrix ``dist`` of a
+    connected graph on at least two vertices.
+
+    ``sep[u][v]`` is the mask of the vertices w with dist(u, w) != dist(v, w).
+    The pairs u < v are ordered by ascending last separator (then u, then
+    v), so the lowest set bit of a mask of colliding pairs is the pair that
+    runs out of separators first; ``lasts[i]`` is pair i's last separator
+    and bit i of ``keeps[w]`` is set when w does not separate pair i.
+    """
+    n = len(dist)
+    full = (1 << n) - 1
+    # levels[u][x]: the vertices at distance x from u; a vertex's levels
+    # are disjoint, so summing the levelwise ANDs ORs them
+    levels = []
+    for row in dist:
+        level = [0] * (max(row) + 1)
+        for w, x in enumerate(row):
+            level[x] |= 1 << w
+        levels.append(level)
+    sep = [[0] * n for _ in range(n)]
+    pairs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            mask = sep[u][v] = sep[v][u] = full ^ sum(map(and_, levels[u], levels[v]))
+            pairs.append((mask.bit_length() - 1, u, v))
+    pairs.sort()
+    # keeps[w] is column w of the pairs' non-separator masks written in binary
+    rows = [format(full ^ sep[u][v], f"0{n}b") for _, u, v in reversed(pairs)]
+    keeps = [int("".join(column), 2) for column in zip(*rows)][::-1]
+    return sep, [last for last, _, _ in pairs], keeps
+
+
 def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int, int]:
     """(witness or None, subsets_tested, pruned) of the search up to ``cap``."""
     n = g.n
@@ -179,58 +223,67 @@ def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int,
     if floor == 0:  # at most one vertex: the empty set resolves
         return (), 1, 0
     encoded = [_code_terms(w, row, kind) for w, row in enumerate(dist)]
-    # Pairs by ascending last separator: the lowest set bit of a mask of
-    # colliding pairs is then the pair that runs out of separators first.
-    pairs = []
-    for u in range(n):
-        du = dist[u]
-        for v in range(u + 1, n):
-            dv = dist[v]
-            last = next(w for w in range(n - 1, -1, -1) if du[w] != dv[w])
-            pairs.append((last, u, v))
-    pairs.sort()
-    lasts = [last for last, _, _ in pairs]
-    # keeps[w]: the pairs that w joining W leaves colliding
-    keeps = [
-        int("".join("1" if row[u] == row[v] else "0" for _, u, v in reversed(pairs)), 2)
-        for row in dist
-    ]
+    sep, lasts, keeps = _separators(dist)
     tested = pruned = 0
     chosen: list[int] = []
 
-    def step(codes: list[int], w: int) -> list[int]:
-        return [c + t for c, t in zip(codes, encoded[w])]
-
     def visit(start: int, left: int, colliding: int, codes: list[int]) -> bool:
-        # Pick ``left`` more vertices from start..n-1 to follow ``chosen``,
-        # whose codes are ``codes``.  Every colliding pair needs a separator
-        # among the picks, so the next pick can go no further than the
-        # earliest last separator.
+        # Pick ``left`` more vertices from start..n-1 to follow the picks
+        # so far, whose codes are ``codes``; on success the picks are pushed
+        # onto ``chosen`` last first.  Every colliding pair needs a
+        # separator among the picks, so the next pick can go no further
+        # than the earliest last separator.
         nonlocal tested, pruned
         stop = n - left
         if colliding:
-            stop = min(stop, lasts[(colliding & -colliding).bit_length() - 1])
+            last = lasts[(colliding & -colliding).bit_length() - 1]
+            if last < stop:
+                stop = last
         # stop >= start: stop >= 0 at the root, and pairs w leaves colliding separate after w
-        for w in range(start, stop + 1):
-            chosen.append(w)
-            if left > 1:
-                if visit(w + 1, left - 1, colliding & keeps[w], step(codes, w)):
+        if left > 1:
+            for w in range(start, stop + 1):
+                step = list(map(add, codes, encoded[w]))
+                if visit(w + 1, left - 1, colliding & keeps[w], step):
+                    chosen.append(w)
                     return True
-            else:
-                tested += 1
-                if not colliding & keeps[w] and len(set(step(codes, w))) == n:
-                    return True
-            chosen.pop()
-        # the subsets whose next pick lies past ``stop``
-        pruned += comb(n - stop - 1, left)
+            # the subsets whose next pick lies past ``stop``
+            pruned += comb(n - stop - 1, left)
+            return False
+        # The last pick must separate every pair of equal codes, since it
+        # adds the same term to both codes of a pair it does not separate;
+        # only the candidates that do are tested by codes.  Every pick in
+        # start..stop still counts as a subset tested.
+        candidates = (2 << stop) - (1 << start)
+        classes: dict[int, list[int]] = {}
+        for u, code in enumerate(codes):
+            same = classes.get(code)
+            if same is None:
+                classes[code] = [u]
+                continue
+            row = sep[u]
+            for v in same:
+                candidates &= row[v]
+            if not candidates:
+                break
+            same.append(u)
+        while candidates:
+            low = candidates & -candidates
+            w = low.bit_length() - 1
+            if len(set(map(add, codes, encoded[w]))) == n:
+                chosen.append(w)
+                tested += w - start + 1
+                return True
+            candidates ^= low
+        tested += stop - start + 1
+        pruned += n - stop - 1  # the last picks past ``stop``
         return False
 
     floor = min(floor, cap + 1)
     pruned += sum(comb(n, size) for size in range(floor))
-    everything = (1 << len(pairs)) - 1
+    everything = (1 << len(lasts)) - 1
     for size in range(floor, cap + 1):
         if visit(0, size, everything, [0] * n):
-            return tuple(chosen), tested, pruned
+            return tuple(reversed(chosen)), tested, pruned
     return None, tested, pruned
 
 

@@ -9,18 +9,23 @@ elimination instead of fraction-free; Fraction sums instead of
 denominator-cleared integer sums; pairwise label comparison instead of
 bitset intersection; edge lists and bit lists instead of neighbourhood
 masks; for threshold graphs, the conjugate degree partition instead of
-any characteristic polynomial), so exact agreement between the two is
-meaningful evidence.
+any characteristic polynomial; for the subset search, the distinct-codes
+test on every last pick the carried pairs allow instead of only on those
+that separate every pair of equal codes), so exact agreement between the
+two is meaningful evidence.
 """
 
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from hypothesis import strategies as st
 
 from lapfam import Graph, Resolver, combination_graph, combination_labels, linalg
 from lapfam.formats import _decode_n, _encode_n
+from lapfam.graphs import _connected_distances
+from lapfam.metric import _code_terms, _size_floor
 
 
 def naive_distances(g, source):
@@ -231,6 +236,64 @@ def naive_dimension(g, kind, max_size=None):
 def naive_outer_dimension(g):
     """Smallest outer multiset resolving set by full enumeration."""
     return naive_dimension(g, "outer")
+
+
+def unfiltered_search(g, kind, cap):
+    """``metric._search`` with no filter on the last pick: every candidate
+    for it that no carried pair rules out gets the distinct-codes test.
+    The pair tables come from a scan of each distance row pair and one
+    string per vertex row instead of BFS level masks.  Returns the same
+    (witness or None, subsets_tested, pruned)."""
+    n = g.n
+    dist = _connected_distances(g)
+    floor = _size_floor(kind, n, max(map(max, dist), default=0))
+    if floor == 0:
+        return (), 1, 0
+    encoded = [_code_terms(w, row, kind) for w, row in enumerate(dist)]
+    pairs = []
+    for u in range(n):
+        du = dist[u]
+        for v in range(u + 1, n):
+            dv = dist[v]
+            last = next(w for w in range(n - 1, -1, -1) if du[w] != dv[w])
+            pairs.append((last, u, v))
+    pairs.sort()
+    lasts = [last for last, _, _ in pairs]
+    keeps = [
+        int("".join("1" if row[u] == row[v] else "0" for _, u, v in reversed(pairs)), 2)
+        for row in dist
+    ]
+    tested = pruned = 0
+    chosen = []
+
+    def step(codes, w):
+        return [c + t for c, t in zip(codes, encoded[w])]
+
+    def visit(start, left, colliding, codes):
+        nonlocal tested, pruned
+        stop = n - left
+        if colliding:
+            stop = min(stop, lasts[(colliding & -colliding).bit_length() - 1])
+        for w in range(start, stop + 1):
+            chosen.append(w)
+            if left > 1:
+                if visit(w + 1, left - 1, colliding & keeps[w], step(codes, w)):
+                    return True
+            else:
+                tested += 1
+                if not colliding & keeps[w] and len(set(step(codes, w))) == n:
+                    return True
+            chosen.pop()
+        pruned += comb(n - stop - 1, left)
+        return False
+
+    floor = min(floor, cap + 1)
+    pruned += sum(comb(n, size) for size in range(floor))
+    everything = (1 << len(pairs)) - 1
+    for size in range(floor, cap + 1):
+        if visit(0, size, everything, [0] * n):
+            return tuple(chosen), tested, pruned
+    return None, tested, pruned
 
 
 def fraction_rayleigh(lap, x):

@@ -19,7 +19,15 @@ from lapfam import (
     resolver_graph,
     vector_rep,
 )
-from helpers import connected_graphs, naive_dimension, naive_outer_dimension, naive_resolves
+from lapfam.metric import _search, _separators
+from helpers import (
+    connected_graphs,
+    naive_dimension,
+    naive_distance_matrix,
+    naive_outer_dimension,
+    naive_resolves,
+    unfiltered_search,
+)
 
 KINDS = ("outer", "multiset", "vector")
 
@@ -290,6 +298,44 @@ class TestPruning:
             again.pruned,
         )
         assert first.subsets_tested + first.pruned == brute_force_count(g, kind, None)
+
+
+class TestLastPick:
+    """The last pick is tested by codes only where it separates every pair
+    of equal codes; the search must still report what the unfiltered
+    search reports, counters included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        g=connected_graphs(max_n=9),
+        kind=st.sampled_from(KINDS),
+        max_size=st.sampled_from([None, 0, 1, 2, 3]),
+    )
+    def test_matches_the_unfiltered_search(self, g, kind, max_size):
+        cap = g.n if max_size is None else min(max_size, g.n)
+        assert _search(g, kind, cap) == unfiltered_search(g, kind, cap)
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=connected_graphs(max_n=9).filter(lambda g: g.n >= 2))
+    def test_separator_tables(self, g):
+        dist = naive_distance_matrix(g)
+        n = g.n
+        sep, lasts, keeps = _separators(dist)
+        for u in range(n):
+            for v in range(n):
+                assert sep[u][v] == sum(
+                    1 << w for w in range(n) if dist[u][w] != dist[v][w]
+                )
+        pairs = sorted(
+            (max(w for w in range(n) if dist[u][w] != dist[v][w]), u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+        )
+        assert lasts == [last for last, _, _ in pairs]
+        for w in range(n):
+            assert keeps[w] == sum(
+                1 << i for i, (_, u, v) in enumerate(pairs) if dist[w][u] == dist[w][v]
+            )
 
 
 # (spec, kind, max_size, dimension, witness, subsets_tested, pruned) for the
