@@ -102,6 +102,8 @@ def _load_graph(text: str, admit: Callable[[int], None] | None = None) -> Graph:
         path = Path(text)
         if path.is_file():
             return read_graph_auto(path.read_text())
+        if path.exists():
+            raise ValueError(f"{spec_err}; and {text!r} is not a regular file") from None
         raise ValueError(f"{spec_err}; and no file named {text!r} exists") from None
     if admit is not None:
         base, extended = expected_orders(spec.d, spec.c)

@@ -1,10 +1,11 @@
 """Graph serialization: graph6, DOT, and a small csv edge list.
 
-graph6 is the compact ASCII format used by nauty and friends: a byte-packed
-vertex count followed by the upper triangle of the adjacency matrix in
-column-major order, six bits per character, offset by 63.  Labels are not
-representable in graph6 or the edge list, so reading either yields an
-unlabeled graph; DOT output is write-only and keeps labels.
+graph6 is the compact ASCII format used by nauty and friends: a vertex
+count in one, four or eight characters followed by the upper triangle of
+the adjacency matrix in column-major order, six bits per character,
+offset by 63.  Labels are not representable in graph6 or the edge list,
+so reading either yields an unlabeled graph; DOT output is write-only and
+keeps labels.
 """
 
 from __future__ import annotations
@@ -64,12 +65,21 @@ def write_graph6(g: Graph, header: bool = False) -> str:
 
 
 def read_graph6(text: str) -> Graph:
-    line = text.strip()
+    """The one graph in ``text``; sparse6, digraph6 and a file of several
+    graphs are refused by name."""
+    lines = [line for line in map(str.strip, text.split("\n")) if line]
+    line = lines[0] if lines else ""
+    if line.startswith((":", ">>sparse6<<")):
+        raise ValueError("sparse6 is not supported; lapfam reads graph6")
+    if line.startswith(("&", ">>digraph6<<")):
+        raise ValueError("digraph6 is not supported; lapfam reads graph6")
     if line.startswith(_HEADER):
         line = line[len(_HEADER) :]
     for ch in line:
         if not 63 <= ord(ch) <= 126:
             raise ValueError(f"invalid graph6 character {ch!r}")
+    if len(lines) > 1:
+        raise ValueError(f"graph6 input holds {len(lines)} graphs; lapfam reads one per file")
     n, consumed = _decode_n(line)
     body = line[consumed:]
     need = (n * (n - 1) // 2 + 5) // 6

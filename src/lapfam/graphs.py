@@ -1,8 +1,9 @@
 """Simple undirected graphs with exact integer distances.
 
 Vertices are 0-based indices.  Each vertex's neighbourhood is stored as a
-Python int used as a bitset, so BFS frontiers expand with wordwise OR;
-every builder hands these masks to one validator (``Graph._from_masks``).
+Python int used as a bitset, so BFS frontiers expand with wordwise OR.
+Every builder, ``Graph(n, edges)`` included, hands these masks to one
+validator (``Graph._init_masks``).
 Graphs are immutable after construction and safe for concurrent reads.
 Each graph computes its all-pairs distances at most once, on first use,
 and keeps them for its own lifetime (two threads racing to fill the cache
@@ -84,7 +85,7 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self._init_masks(adj, labels, packed=True)
+        self._init_masks(adj, labels)
 
     @classmethod
     def _from_masks(
@@ -95,31 +96,23 @@ class Graph:
         g._init_masks(masks, labels)
         return g
 
-    def _init_masks(
-        self,
-        masks: Sequence[int],
-        labels: Sequence[Label | None] | None,
-        packed: bool = False,
-    ) -> None:
-        """The one validator: every mask within range(n), no loops, symmetric.
-        ``packed`` masks were set from an edge list in both directions at
-        once, so their symmetry is not walked."""
+    def _init_masks(self, masks: Sequence[int], labels: Sequence[Label | None] | None) -> None:
+        """The one validator: every mask within range(n), no loops, symmetric."""
         adj = tuple(masks)
         n = len(adj)
         # Range first: bit iteration never ends on a negative int.
         if any(mask < 0 or mask >> n for mask in adj):
             raise ValueError(f"neighbourhood masks must lie within range({n})")
-        above = 0
+        m = 0
         for v, mask in enumerate(adj):
             if mask >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            for u in () if packed else _iter_bits(mask >> (v + 1) << (v + 1)):
+            for u in _iter_bits(mask >> (v + 1) << (v + 1)):
                 if not adj[u] >> v & 1:
                     raise ValueError(f"asymmetric pair ({v},{u}): {u} does not list {v}")
-                above += 1
-        total = sum(mask.bit_count() for mask in adj)
+                m += 1
         # Every pair above the diagonal has its mirror, so equal counts leave none below.
-        if not packed and 2 * above != total:
+        if 2 * m != sum(mask.bit_count() for mask in adj):
             raise ValueError("asymmetric pair below the diagonal")
         if labels is not None:
             labels = tuple(labels)
@@ -129,7 +122,7 @@ class Graph:
             if len(set(present)) != len(present):
                 raise ValueError("vertex labels must be pairwise distinct")
         self._n = n
-        self._m = total // 2
+        self._m = m
         self._adj = adj
         self._labels = labels
         self._dist: tuple[tuple[int | None, ...], ...] | None = None

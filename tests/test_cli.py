@@ -313,6 +313,19 @@ class TestErrorPaths:
         assert code == 2
         assert "no file" in err
 
+    def test_directory_is_not_a_regular_file(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "spectrum", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"lapfam: error: [^\n]*\n", err)
+        assert err.endswith(f"; and {str(tmp_path)!r} is not a regular file\n")
+
+    def test_two_graph_graph6_file(self, capsys, tmp_path):
+        graph_file = tmp_path / "two.g6"
+        graph_file.write_text("A_\nBw\n")
+        code, out, err = run_cli(capsys, "spectrum", str(graph_file))
+        assert (code, out) == (2, "")
+        assert err == "lapfam: error: graph6 input holds 2 graphs; lapfam reads one per file\n"
+
     def test_bad_construction_combo(self, capsys):
         code, _, _ = run_cli(capsys, "gen", "gplus:3,2:indexed")
         assert code == 2

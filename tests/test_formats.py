@@ -91,6 +91,27 @@ class TestGraph6:
         with pytest.raises(ValueError):
             _encode_n(-1)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("A_\nBw\n", "graph6 input holds 2 graphs; lapfam reads one per file"),
+            (">>graph6<<A_\n\nBw\r\n@\n", "graph6 input holds 3 graphs; lapfam reads one per file"),
+            (":Fa@x^\n", "sparse6 is not supported; lapfam reads graph6"),
+            (">>sparse6<<:Fa@x^", "sparse6 is not supported; lapfam reads graph6"),
+            ("&DI?AO?\n", "digraph6 is not supported; lapfam reads graph6"),
+            (">>digraph6<<&DI?AO?", "digraph6 is not supported; lapfam reads graph6"),
+            # a space-separated edge list is not read as several graphs
+            ("1 2\n2 3\n", "invalid graph6 character '1'"),
+        ],
+    )
+    def test_refusals_name_the_input(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            read_graph6(text)
+        assert str(exc.value) == message
+
+    def test_one_graph_between_blank_lines(self):
+        assert same_graph(read_graph6("\n  A_\r\n\n"), Graph.complete(2))
+
     @settings(max_examples=60, deadline=None)
     @given(g=graphs(max_n=70))
     def test_roundtrip_random(self, g):

@@ -131,8 +131,8 @@ class TestFromMasks:
     @settings(max_examples=80, deadline=None)
     @given(g=labeled_graphs(max_n=10), data=st.data())
     def test_edge_input_equals_the_walked_masks(self, g, data):
-        # Graph(n, edges) skips the symmetry walk on the masks it packs;
-        # duplicate and reversed edges must still collapse as before.
+        # Graph(n, edges) packs its edges and walks them like any masks;
+        # duplicate and reversed edges collapse into the same masks.
         edges = list(g.edges())
         edges += data.draw(st.lists(st.sampled_from(edges))) if edges else []
         edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
