@@ -141,7 +141,9 @@ def read_edgelist(text: str) -> Graph:
 
 
 def read_graph_auto(text: str) -> Graph:
-    """Sniff edge list vs graph6: any comma means edge list."""
-    if "," in text:
+    """Sniff edge list vs graph6: a comma anywhere, or a digit first, means
+    edge list (graph6 characters run from ``?`` to ``~``, so no graph6 line
+    starts with a digit)."""
+    if "," in text or "0" <= text.lstrip()[:1] <= "9":
         return read_edgelist(text)
     return read_graph6(text)

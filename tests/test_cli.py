@@ -350,6 +350,13 @@ class TestErrorPaths:
         assert (code, out) == (2, "")
         assert err == f"lapfam: error: {message}\n"
 
+    def test_space_separated_edge_list(self, capsys, tmp_path):
+        graph_file = tmp_path / "path.txt"
+        graph_file.write_text("1 2\n2 3\n")
+        code, out, err = run_cli(capsys, "spectrum", str(graph_file))
+        assert (code, out) == (2, "")
+        assert err == "lapfam: error: bad edge list line: '1 2'\n"
+
     def test_out_of_memory_is_exit_2(self, capsys, monkeypatch, tmp_path):
         # The loader raises as an oversized file would, without allocating.
         def exhausted(text):

@@ -214,3 +214,10 @@ class TestAuto:
 
     def test_sniffs_graph6(self):
         assert same_graph(read_graph_auto("Bw"), Graph.complete(3))
+
+    @pytest.mark.parametrize("text, line", [("1 2\n2 3\n", "1 2"), ("\n  3\t4\n", "3\t4")])
+    def test_digit_first_is_an_edge_list(self, text, line):
+        # no graph6 line starts with a digit, so the edge list reader names the line
+        with pytest.raises(ValueError) as exc:
+            read_graph_auto(text)
+        assert str(exc.value) == f"bad edge list line: {line!r}"

@@ -39,6 +39,53 @@ EXPECTED_AT_SMALL_RANGE = [
 ]
 
 
+# Every check's (name, status, details) at two ranges, frozen so that a
+# change to the battery that should not alter its output is seen to keep it.
+PINNED_OUTPUT = {
+    (8, 4): [
+        ("order-formula", "pass", "orders match binomial counts for d<=4, c<=8"),
+        ("distance-law", "pass", "BFS distance equals max coordinate gap on 29028 pairs"),
+        ("diameter-radius", "pass", "diameter d-1 and radius floor(d/2) for d<=4, c<=8"),
+        ("extended-diameter", "pass", "extended family diameter is d for 2<=d<=4, c<=8"),
+        ("star-case", "info", "alphabet-1 extended graphs are stars; diameter 2 (or 1), not d"),
+        ("construction-agreement", "pass", "direct, indexed, and iterative constructions agree for c<=8"),
+        ("step-recursion", "pass", "two-vertex growth step reproduces each member up to c=8"),
+        ("step-needs-join", "info", "growth step must join the new degree-2c vertex to everything; a plain disjoint union is disconnected"),
+        ("eigenpairs", "pass", "exact eigenpairs and full-rank bases for n in [3, 5, 7, 9, 11, 13, 15, 17]"),
+        ("spectrum-gap", "pass", "spectrum is 0..2c+1 minus c+1, all simple, for c<=8"),
+        ("realizability-chain", "pass", "growth step carries the spectrum gap from 2 up to 9"),
+        ("rayleigh-identities", "pass", "rayleigh quotients and band sums match eigenvalues for c<=8"),
+        ("worked-example", "pass", "7-vertex member reproduces frozen matrices, quotients, band sums"),
+        ("kernel-support", "info", "kernel is spanned by the constant vector on all 2c+1 vertices; a vector constant on all but one vertex is not in it"),
+        ("outer-resolving", "pass", "appended resolver vertices outer-resolve at (2,1), (2,2), (2,3), (2,4), (3,1), (3,2), (3,3), (3,4), (4,1)"),
+        ("resolver-shortcut", "info", "for alphabet 4, length 2 the designed set stops resolving: 13 and 14 share multiset {1,3} because every vertex with a 1 reaches any resolver in at most 3 hops through the first one"),
+        ("dimension-search", "pass", "minimal outer sets found and re-verified: dim(d=2,c=1)=1, dim(d=2,c=2)=2, dim(d=2,c=3)=3, dim(d=2,c=4)=4, dim(d=3,c=1)=1, dim(d=3,c=2)=2, dim(d=3,c=3)=3, dim(d=3,c=4)=4, dim(d=4,c=1)=1, dim(d=4,c=2)=3, dim(d=4,c=3)=7"),
+        ("outer-non-monotone", "info", "outer resolution is not superset-monotone: on the 4-path one endpoint resolves but both endpoints together do not"),
+        ("large-alphabet-spectra", "info", "alphabets above 2 stay out of scope; (d=3,c=1): 2 non-integral; (d=3,c=2): 7 non-integral; (d=3,c=3): 12 non-integral; (d=4,c=2): 11 non-integral"),
+    ],
+    (2, 2): [
+        ("order-formula", "pass", "orders match binomial counts for d<=2, c<=2"),
+        ("distance-law", "pass", "BFS distance equals max coordinate gap on 4 pairs"),
+        ("diameter-radius", "pass", "diameter d-1 and radius floor(d/2) for d<=2, c<=2"),
+        ("extended-diameter", "pass", "extended family diameter is d for 2<=d<=2, c<=2"),
+        ("star-case", "info", "alphabet-1 extended graphs are stars; diameter 2 (or 1), not d"),
+        ("construction-agreement", "pass", "direct, indexed, and iterative constructions agree for c<=2"),
+        ("step-recursion", "pass", "two-vertex growth step reproduces each member up to c=2"),
+        ("step-needs-join", "info", "growth step must join the new degree-2c vertex to everything; a plain disjoint union is disconnected"),
+        ("eigenpairs", "pass", "exact eigenpairs and full-rank bases for n in [3, 5]"),
+        ("spectrum-gap", "pass", "spectrum is 0..2c+1 minus c+1, all simple, for c<=2"),
+        ("realizability-chain", "pass", "growth step carries the spectrum gap from 2 up to 3"),
+        ("rayleigh-identities", "pass", "rayleigh quotients and band sums match eigenvalues for c<=2"),
+        ("worked-example", "pass", "7-vertex member reproduces frozen matrices, quotients, band sums"),
+        ("kernel-support", "info", "kernel is spanned by the constant vector on all 2c+1 vertices; a vector constant on all but one vertex is not in it"),
+        ("outer-resolving", "pass", "appended resolver vertices outer-resolve at (2,1), (2,2)"),
+        ("dimension-search", "pass", "minimal outer sets found and re-verified: dim(d=2,c=1)=1, dim(d=2,c=2)=2"),
+        ("outer-non-monotone", "info", "outer resolution is not superset-monotone: on the 4-path one endpoint resolves but both endpoints together do not"),
+        ("large-alphabet-spectra", "info", "alphabets above 2 stay out of scope; (d=3,c=1): 2 non-integral; (d=3,c=2): 7 non-integral; (d=3,c=3): 12 non-integral; (d=4,c=2): 11 non-integral"),
+    ],
+}
+
+
 class TestRunVerify:
     def test_small_range_passes(self):
         report = run_verify(cmax=2, dmax=2)
@@ -56,6 +103,13 @@ class TestRunVerify:
         shortcut = next(c for c in report.checks if c.name == "resolver-shortcut")
         assert shortcut.status == "info"
 
+    @pytest.mark.parametrize("cmax, dmax", sorted(PINNED_OUTPUT))
+    def test_output_is_pinned(self, cmax, dmax):
+        report = run_verify(cmax=cmax, dmax=dmax)
+        assert report.ok
+        got = [(c.name, c.status, c.details) for c in report.checks]
+        assert got == PINNED_OUTPUT[cmax, dmax]
+
     def test_rejects_empty_ranges(self):
         with pytest.raises(ValueError):
             run_verify(cmax=0)
@@ -69,15 +123,15 @@ def check_named(report, name):
 
 class TestFailurePaths:
     def test_wrong_distance_is_named(self, monkeypatch):
-        real = verify_module.all_pairs_distances
+        real = graphs.bfs_distances
 
-        def off_by_one(g):
-            dist = real(g)
-            if g.labels[0] == Combination((1, 1)) and g.n == 6:  # G(3, 2)
-                dist[0][5] += 1  # dist(11, 33) is 2
+        def off_by_one(g, source):
+            dist = real(g, source)
+            if source == 0 and g.n == 6 and g.labels and g.labels[0] == Combination((1, 1)):
+                dist[5] += 1  # G(3, 2): dist(11, 33) is 2
             return dist
 
-        monkeypatch.setattr(verify_module, "all_pairs_distances", off_by_one)
+        monkeypatch.setattr(graphs, "bfs_distances", off_by_one)
         report = run_verify(cmax=2, dmax=3)
         check = check_named(report, "distance-law")
         assert check.status == "fail"
@@ -189,6 +243,23 @@ class TestSharing:
         assert run_verify(cmax=cmax, dmax=dmax).ok
         assert set(calls.values()) == {1}
         assert len(calls) >= cmax * dmax
+
+    @pytest.mark.parametrize("cmax, dmax", [(8, 4), (1, 4), (2, 2)])
+    def test_one_indexed_build_per_member(self, monkeypatch, cmax, dmax):
+        # Seven checks read the banded-index G+(2, c) through the run's memo
+        # (41 builds at 8, 4 when each built its own); worked-example adds
+        # c = 3 at any cmax.
+        real = families.resolver_graph_indexed
+        calls = Counter()
+
+        def counted(c):
+            calls[c] += 1
+            return real(c)
+
+        monkeypatch.setattr(families, "resolver_graph_indexed", counted)
+        assert run_verify(cmax=cmax, dmax=dmax).ok
+        assert set(calls.values()) == {1}
+        assert set(calls) == {*range(1, cmax + 1), 3}
 
     def test_one_char_poly_per_matrix_per_check(self, monkeypatch):
         # Only the 4 prime large-alphabet members take a pass: the gap
