@@ -122,6 +122,18 @@ def _graph_json(g: Graph) -> dict:
     }
 
 
+_CHUNK = 10**640  # the interpreter's int-to-str digit limit is 0 (none) or >= 640
+
+
+def _digits(x: int) -> str:
+    """``str(x)`` past the interpreter's int-to-str digit limit, which refuses
+    longer ints: the digits are written 640 at a time."""
+    if x < 0:
+        return "-" + _digits(-x)
+    head, low = divmod(x, _CHUNK)
+    return _digits(head) + f"{low:0640d}" if head else str(low)
+
+
 # gen's output formats
 _WRITERS = {
     "graph6": lambda g: write_graph6(g) + "\n",
@@ -152,7 +164,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     payload = {
         "n": g.n,
         "edges": g.edge_count,
-        "charpoly": [str(coeff) for coeff in spec.charpoly],
+        "charpoly": [_digits(coeff) for coeff in spec.charpoly],
         "eigenvalues": [
             {"value": str(lam), "multiplicity": mult} for lam, mult in spec.pairs
         ],

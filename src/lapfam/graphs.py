@@ -5,9 +5,9 @@ Python int used as a bitset, so BFS frontiers expand with wordwise OR.
 Every builder, ``Graph(n, edges)`` included, hands these masks to one
 validator (``Graph._init_masks``).
 Graphs are immutable after construction and safe for concurrent reads.
-Each graph computes its all-pairs distances at most once, on first use,
-and keeps them for its own lifetime (two threads racing to fill the cache
-store equal values).
+Distances are kept in one form, BFS levels (``Graph.levels``), which each
+graph walks at most once, on first use, and keeps for its own lifetime
+(two threads racing to fill the cache store equal values).
 External reports (CLI, file formats) print 1-based vertex numbers.
 """
 
@@ -69,7 +69,7 @@ class Graph:
     distinct.
     """
 
-    __slots__ = ("_n", "_m", "_adj", "_labels", "_dist")
+    __slots__ = ("_n", "_m", "_adj", "_labels", "_levels")
 
     def __init__(
         self,
@@ -125,7 +125,7 @@ class Graph:
         self._m = m
         self._adj = adj
         self._labels = labels
-        self._dist: tuple[tuple[int | None, ...], ...] | None = None
+        self._levels: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -165,12 +165,13 @@ class Graph:
             for v in _iter_bits(self._adj[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def distances(self) -> tuple[tuple[int | None, ...], ...]:
-        """All-pairs BFS distances (None = unreachable), computed on first
-        use and cached on the graph.  The rows are shared, hence tuples."""
-        if self._dist is None:
-            self._dist = tuple(tuple(bfs_distances(self, v)) for v in range(self._n))
-        return self._dist
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """BFS levels: ``levels()[u][k]`` is the mask of the vertices at
+        distance k from u, computed on first use and cached on the graph.
+        The rows are shared, hence tuples."""
+        if self._levels is None:
+            self._levels = tuple(tuple(_walk(self._adj, v, -1)) for v in range(self._n))
+        return self._levels
 
     def with_labels(self, labels: Sequence[Label | None] | None) -> "Graph":
         """Same adjacency, different labels."""
@@ -188,44 +189,57 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _walk(adj: Sequence[int], start: int, within: int) -> list[int]:
+    """The one BFS walk: levels from vertex ``start`` inside the vertex set
+    ``within`` (-1 for all), entry k the mask of the vertices k steps away,
+    where ``adj[v]`` holds v's neighbours."""
+    levels = []
+    seen = frontier = 1 << start
+    while frontier:
+        levels.append(frontier)
+        reach = 0
+        for v in _iter_bits(frontier):
+            reach |= adj[v]
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return levels
+
+
+def _row(levels: Sequence[int], n: int) -> list[int | None]:
+    """The distance row of one vertex's levels (None = unreachable)."""
+    dist: list[int | None] = [None] * n
+    for k, level in enumerate(levels):
+        for v in _iter_bits(level):
+            dist[v] = k
+    return dist
+
+
 def bfs_distances(g: Graph, source: int) -> list[int | None]:
     """Shortest-path distance from ``source`` to every vertex (None = unreachable)."""
     if not 0 <= source < g.n:
         raise IndexError(f"source {source} out of range for n={g.n}")
-    dist: list[int | None] = [None] * g.n
-    adj = g._adj
-    seen = frontier = 1 << source
-    d = 0
-    while frontier:
-        reach = 0
-        for v in _iter_bits(frontier):
-            dist[v] = d
-            reach |= adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
-        d += 1
-    return dist
+    return _row(_walk(g._adj, source, -1), g.n)
 
 
 def all_pairs_distances(g: Graph) -> list[list[int | None]]:
-    """A fresh, mutable copy of ``g.distances()``."""
-    return [list(row) for row in g.distances()]
+    """All-pairs distances as fresh, mutable rows of ``g.levels()``."""
+    return [_row(levels, g.n) for levels in g.levels()]
 
 
-def _connected_distances(g: Graph) -> tuple[tuple[int, ...], ...]:
-    """``g.distances()``; raises DisconnectedGraphError on any unreachable pair."""
-    rows = g.distances()
-    # vertex 0 reaches every vertex exactly when the graph is connected
-    if rows and None in rows[0]:
+def _connected_levels(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """``g.levels()``; raises DisconnectedGraphError on any unreachable pair."""
+    levels = g.levels()
+    # connected exactly when vertex 0's levels (disjoint, so a sum ORs) hold all
+    if levels and sum(levels[0]) != (1 << g.n) - 1:
         raise DisconnectedGraphError("the graph is not connected")
-    return rows  # type: ignore[return-value]
+    return levels
 
 
 def eccentricities(g: Graph) -> list[int]:
     """Eccentricity of every vertex; raises DisconnectedGraphError on any unreachable pair."""
     if g.n == 0:
         raise ValueError("eccentricities of the empty graph are undefined")
-    return [max(row) for row in _connected_distances(g)]
+    return [len(levels) - 1 for levels in _connected_levels(g)]
 
 
 def diameter(g: Graph) -> int:

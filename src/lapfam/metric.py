@@ -10,7 +10,7 @@ representation attached to each vertex u:
 
 One representation rule serves the predicates and the search.  Every
 vertex u gets one integer code, and when w joins W each code gains one
-term, ``code + terms[u]``, with base B = n + 1:
+term read off w's BFS levels, ``code + terms[u]``, with base B = n + 1:
 
 * vector: ``dist(w, u) * B**w``, the distance as base-B digit w (every
   distance is at most n - 1 < B, and members of W are distinct);
@@ -64,7 +64,7 @@ from math import comb
 from operator import add, and_
 from typing import Sequence
 
-from .graphs import Graph, _connected_distances
+from .graphs import Graph, _connected_levels, _iter_bits, _row
 
 # A subset search over more than this many vertices will not finish in
 # reasonable time; callers must opt in explicitly.
@@ -121,7 +121,7 @@ def vector_rep(g: Graph, u: int, order: Sequence[int]) -> tuple[int, ...]:
     order = _check_vertices(g, order)
     if not 0 <= u < g.n:
         raise IndexError(f"vertex {u} out of range 0..{g.n - 1}")
-    row = _connected_distances(g)[u]
+    row = _row(_connected_levels(g)[u], g.n)
     return tuple(row[w] for w in order)
 
 
@@ -130,25 +130,26 @@ def multiset_rep(g: Graph, u: int, vertices: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(vector_rep(g, u, vertices)))
 
 
-def _code_terms(w: int, row: Sequence[int], kind: str) -> list[int]:
-    """What the vertex w with distance row ``row`` adds to each code when
-    it joins W: code c[u] becomes ``c[u] + terms[u]``."""
-    base = len(row) + 1
-    if kind == "vector":
-        digit = base**w
-        return [x * digit for x in row]
-    terms = [base**x for x in row]
+def _code_terms(w: int, levels: Sequence[int], n: int, kind: str) -> list[int]:
+    """What w, with BFS levels ``levels`` in a connected graph on n vertices,
+    adds to each code on joining W (c[u] becomes ``c[u] + terms[u]``)."""
+    base = n + 1
+    terms = [0] * n
+    for x, level in enumerate(levels):
+        term = x * base**w if kind == "vector" else base**x
+        for u in _iter_bits(level):
+            terms[u] = term
     if kind == "outer":
-        terms[w] = base ** len(row) * (w + 1)
+        terms[w] = base**n * (w + 1)
     return terms
 
 
 def _resolves(g: Graph, vertices: Sequence[int], kind: str) -> bool:
     vs = _check_vertices(g, vertices)
-    dist = _connected_distances(g)
+    levels = _connected_levels(g)
     codes = [0] * g.n
     for w in vs:
-        codes = [c + t for c, t in zip(codes, _code_terms(w, dist[w], kind))]
+        codes = [c + t for c, t in zip(codes, _code_terms(w, levels[w], g.n, kind))]
     return len(set(codes)) == g.n
 
 
@@ -181,10 +182,10 @@ def _size_floor(kind: str, n: int, diameter: int) -> int:
 
 
 def _separators(
-    dist: Sequence[Sequence[int]],
+    levels: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]], list[int], list[int]]:
-    """The search's pair tables for the distance matrix ``dist`` of a
-    connected graph on at least two vertices.
+    """The search's pair tables for the BFS levels ``levels`` (as
+    ``Graph.levels``) of a connected graph on at least two vertices.
 
     ``sep[u][v]`` is the mask of the vertices w with dist(u, w) != dist(v, w).
     The pairs u < v are ordered by ascending last separator (then u, then
@@ -192,16 +193,9 @@ def _separators(
     runs out of separators first; ``lasts[i]`` is pair i's last separator
     and bit i of ``keeps[w]`` is set when w does not separate pair i.
     """
-    n = len(dist)
+    n = len(levels)
     full = (1 << n) - 1
-    # levels[u][x]: the vertices at distance x from u; a vertex's levels
-    # are disjoint, so summing the levelwise ANDs ORs them
-    levels = []
-    for row in dist:
-        level = [0] * (max(row) + 1)
-        for w, x in enumerate(row):
-            level[x] |= 1 << w
-        levels.append(level)
+    # a vertex's levels are disjoint, so summing the levelwise ANDs ORs them
     sep = [[0] * n for _ in range(n)]
     pairs = []
     for u in range(n):
@@ -218,12 +212,12 @@ def _separators(
 def _search(g: Graph, kind: str, cap: int) -> tuple[tuple[int, ...] | None, int, int]:
     """(witness or None, subsets_tested, pruned) of the search up to ``cap``."""
     n = g.n
-    dist = _connected_distances(g)
-    floor = _size_floor(kind, n, max(map(max, dist), default=0))
+    levels = _connected_levels(g)
+    floor = _size_floor(kind, n, max(map(len, levels), default=1) - 1)
     if floor == 0:  # at most one vertex: the empty set resolves
         return (), 1, 0
-    encoded = [_code_terms(w, row, kind) for w, row in enumerate(dist)]
-    sep, lasts, keeps = _separators(dist)
+    encoded = [_code_terms(w, lv, n, kind) for w, lv in enumerate(levels)]
+    sep, lasts, keeps = _separators(levels)
     tested = pruned = 0
     chosen: list[int] = []
 

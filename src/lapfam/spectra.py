@@ -8,6 +8,7 @@ components: on parts of n_1..n_k vertices, n in all, it has the
 eigenvalues 0 and n (k - 1 times), and each part's spectrum less one 0,
 shifted up by n - n_i (Mohar, "The Laplacian spectrum of graphs", 1991;
 Merris, "Laplacian graph eigenvectors", Linear Algebra Appl. 278, 1998).
+Components come from the BFS walk of ``graphs``, kept inside the part.
 Only a prime part, neither, takes a ``linalg.char_poly`` pass.
 ``integral_spectrum`` takes the Laplacian matrix and always takes one:
 eigenvalues lie in [0, n], so dividing by x - lam for lam = n..0 finds
@@ -32,7 +33,7 @@ from typing import Sequence
 
 from . import linalg
 from .families import resolver_graph_indexed
-from .graphs import Graph, _iter_bits, disjoint_union, join
+from .graphs import Graph, _iter_bits, _walk, disjoint_union, join
 from .linalg import IntMatrix
 
 
@@ -134,17 +135,11 @@ def integral_spectrum(lap: Sequence[Sequence[int]]) -> Spectrum:
 
 
 def _parts(part: int, adj: Sequence[int]) -> list[int]:
-    """Vertex sets of the components of the subgraph on ``part``, where
-    ``adj[v]`` holds v's neighbours (a bit for v itself is ignored)."""
+    """Vertex sets of the components of the subgraph on ``part``, each the
+    sum of its lowest vertex's BFS levels, where ``adj[v]`` holds v's neighbours."""
     out = []
     while part:
-        seen = frontier = part & -part
-        while frontier:
-            reach = 0
-            for v in _iter_bits(frontier):
-                reach |= adj[v]
-            frontier = reach & part & ~seen
-            seen |= frontier
+        seen = sum(_walk(adj, (part & -part).bit_length() - 1, part))
         out.append(seen)
         part &= ~seen
     return out

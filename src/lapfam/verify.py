@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import and_, getitem, sub
 from typing import Callable
 
 from . import families
@@ -29,6 +30,7 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    _row,
     are_adjacency_equal,
     diameter,
     disjoint_union,
@@ -125,7 +127,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         raise ValueError(f"cmax and dmax must be positive: {cmax}, {dmax}")
     checks: list[Check] = []
     # One build per family member per run, so the checks share each graph
-    # and its distance matrix; nothing outlives the call.
+    # and its BFS levels; nothing outlives the call.
     combination_graph = cache(families.combination_graph)
     resolver_graph = cache(lambda d, c: families._with_resolvers(combination_graph(d, c), c))
     resolver_graph_indexed = cache(families.resolver_graph_indexed)
@@ -151,25 +153,35 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         return f"orders match binomial counts for d<={dmax}, c<={cmax}"
 
     def distance_law() -> str:
+        # Ball k of u (BFS levels 0..k) must be the AND over entries i of
+        # near[k][i][t], the vertices whose entry i lies within k of u's entry
+        # t.  Balls equal for k = 0..d-1, past every gap, make distances equal.
         pairs = 0
         for d in range(2, dmax + 1):
             for c in range(1, cmax + 1):
                 g = combination_graph(d, c)
                 labels = g.labels
-                dist = g.distances()
-                cols = list(zip(*(label.seq for label in labels)))
-                for u in range(g.n):
-                    # max coordinate gap from u to each later vertex
-                    gaps = [[abs(col[u] - y) for y in col[u + 1 :]] for col in cols]
-                    want = tuple(map(max, zip(*gaps)))
-                    got = dist[u][u + 1 :]
-                    if got != want:
-                        v = next(v for v, w, x in zip(range(u + 1, g.n), want, got) if w != x)
+                exact = [[0] * (d + 1) for _ in range(c)]  # entry i equal to t
+                for v, label in enumerate(labels):
+                    for i, t in enumerate(label.seq):
+                        exact[i][t] |= 1 << v
+                near = [  # sums of disjoint masks, so ORs
+                    [[sum(row[max(t - k, 1) : t + k + 1]) for t in range(d + 1)] for row in exact]
+                    for k in range(d)
+                ]
+                for u, levels in enumerate(g.levels()):
+                    ball = wrong = 0  # wrong: the vertices at a wrong distance from u
+                    for k in range(d):
+                        ball |= levels[k] if k < len(levels) else 0
+                        wrong |= ball ^ reduce(and_, map(getitem, near[k], labels[u].seq))
+                    if later := wrong >> (u + 1):  # name the first pair u < v
+                        v = u + (later & -later).bit_length()
+                        gap = max(map(abs, map(sub, labels[u].seq, labels[v].seq)))
                         raise AssertionError(
                             f"d={d} c={c}: dist({labels[u]},{labels[v]}) = "
-                            f"{dist[u][v]} != {want[v - u - 1]}"
+                            f"{_row(levels, g.n)[v]} != {gap}"
                         )
-                    pairs += len(want)
+                pairs += g.n * (g.n - 1) // 2
         return f"BFS distance equals max coordinate gap on {pairs} pairs"
 
     def diameter_radius() -> str:
@@ -366,8 +378,8 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
     run("order-formula", order_formula)
     run("distance-law", distance_law)
     run("diameter-radius", diameter_radius)
-    # No later check reads G(d, c): free those graphs and their distance
-    # matrices before the extended family's are computed (lower peak memory).
+    # No later check reads G(d, c): free those graphs and their BFS levels
+    # before the extended family's are computed (lower peak memory).
     combination_graph.cache_clear()
     run("extended-diameter", extended_diameter)
     run("star-case", star_case, status="info")

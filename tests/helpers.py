@@ -24,8 +24,7 @@ from hypothesis import strategies as st
 
 from lapfam import Graph, Resolver, combination_graph, combination_labels, linalg
 from lapfam.formats import _decode_n, _encode_n
-from lapfam.graphs import _connected_distances
-from lapfam.metric import _code_terms, _size_floor
+from lapfam.metric import _size_floor
 
 
 def naive_distances(g, source):
@@ -238,18 +237,32 @@ def naive_outer_dimension(g):
     return naive_dimension(g, "outer")
 
 
+def row_code_terms(w, row, kind):
+    """What the vertex w with distance row ``row`` adds to each resolving
+    code when it joins W, as ``metric`` defines the terms."""
+    base = len(row) + 1
+    if kind == "vector":
+        return [x * base**w for x in row]
+    terms = [base**x for x in row]
+    if kind == "outer":
+        terms[w] = base ** len(row) * (w + 1)
+    return terms
+
+
 def unfiltered_search(g, kind, cap):
     """``metric._search`` with no filter on the last pick: every candidate
     for it that no carried pair rules out gets the distinct-codes test.
-    The pair tables come from a scan of each distance row pair and one
-    string per vertex row instead of BFS level masks.  Returns the same
-    (witness or None, subsets_tested, pruned)."""
+    The distances come from deque BFS rows, the code terms from one power
+    per row entry, and the pair tables from a scan of each distance row
+    pair and one string per vertex row, instead of BFS level masks.
+    Returns the same (witness or None, subsets_tested, pruned) on a
+    connected graph."""
     n = g.n
-    dist = _connected_distances(g)
+    dist = naive_distance_matrix(g)
     floor = _size_floor(kind, n, max(map(max, dist), default=0))
     if floor == 0:
         return (), 1, 0
-    encoded = [_code_terms(w, row, kind) for w, row in enumerate(dist)]
+    encoded = [row_code_terms(w, row, kind) for w, row in enumerate(dist)]
     pairs = []
     for u in range(n):
         du = dist[u]

@@ -123,6 +123,28 @@ class TestSpectrum:
         assert values == [(7, 1), (6, 1), (5, 1), (3, 1), (2, 1), (1, 1), (0, 1)]
         assert payload["charpoly"] == ["0", "1260", "-2952", "2545", "-1056", "226", "-24", "1"]
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+    )
+    def test_coefficients_past_the_digit_limit(self, capsys):
+        # 640 is the lowest limit CPython accepts; gplus:2,160 has longer
+        # coefficients.  The limit is restored before the output is parsed.
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, "spectrum", "gplus:2,160")
+            limit = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert (code, err, limit) == (0, "", 640)
+        got = json.loads(out)["charpoly"]
+        assert max(len(text.lstrip("-")) for text in got) > 640
+        want = [1]  # the product of x - lam over 0..321 but 161
+        for lam in range(322):
+            if lam != 161:
+                want = [a - lam * b for a, b in zip([0] + want, want + [0])]
+        assert [int(text) for text in got] == want
+
     def test_construction_variants_agree(self, capsys):
         direct = run_json(capsys, "spectrum", "gplus:2,4")
         indexed = run_json(capsys, "spectrum", "gplus:2,4:indexed")

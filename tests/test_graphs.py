@@ -204,11 +204,11 @@ class TestDistances:
         )
 
         sources = []
-        real = graphs_module.bfs_distances
+        real = graphs_module._walk
         monkeypatch.setattr(
             graphs_module,
-            "bfs_distances",
-            lambda g, source: sources.append(source) or real(g, source),
+            "_walk",
+            lambda adj, start, within: sources.append(start) or real(adj, start, within),
         )
         g = resolver_graph(2, 3)
         for _ in range(2):
@@ -220,6 +220,30 @@ class TestDistances:
         # the cache belongs to the graph: an equal graph computes its own
         eccentricities(g.with_labels(None))
         assert sources == list(range(g.n)) * 2
+
+    @given(graphs(max_n=8))
+    @settings(max_examples=100)
+    def test_levels_match_queue_bfs(self, g):
+        """Each vertex's levels are disjoint, cover exactly its component
+        and agree with a deque BFS; eccentricities, diameter and radius
+        agree with the rows, or the graph is disconnected."""
+        rows = [naive_distances(g, u) for u in range(g.n)]
+        for u, levels in enumerate(g.levels()):
+            union = 0
+            for level in levels:
+                assert level and not level & union
+                union |= level
+            assert union == sum(1 << v for v in range(g.n) if rows[u][v] is not None)
+            assert [[v for v in range(g.n) if level >> v & 1] for level in levels] == [
+                [v for v in range(g.n) if rows[u][v] == k] for k in range(len(levels))
+            ]
+        if any(None in row for row in rows):
+            for fn in (eccentricities, diameter, radius):
+                with pytest.raises(DisconnectedGraphError):
+                    fn(g)
+            return
+        ecc = [max(row) for row in rows]
+        assert (eccentricities(g), diameter(g), radius(g)) == (ecc, max(ecc), min(ecc))
 
     @given(graphs(max_n=6))
     @settings(max_examples=40)

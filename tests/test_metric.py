@@ -320,7 +320,7 @@ class TestLastPick:
     def test_separator_tables(self, g):
         dist = naive_distance_matrix(g)
         n = g.n
-        sep, lasts, keeps = _separators(dist)
+        sep, lasts, keeps = _separators(g.levels())
         for u in range(n):
             for v in range(n):
                 assert sep[u][v] == sum(

@@ -4,9 +4,9 @@ from dataclasses import replace
 
 import pytest
 
+from helpers import masks
 from lapfam import (
     Check,
-    Combination,
     Graph,
     VerifyReport,
     eigenvector_family,
@@ -123,20 +123,26 @@ def check_named(report, name):
 
 class TestFailurePaths:
     def test_wrong_distance_is_named(self, monkeypatch):
-        real = graphs.bfs_distances
+        real = graphs._walk
+        target = masks(families.combination_graph(3, 2))
+        moved = []
 
-        def off_by_one(g, source):
-            dist = real(g, source)
-            if source == 0 and g.n == 6 and g.labels and g.labels[0] == Combination((1, 1)):
-                dist[5] += 1  # G(3, 2): dist(11, 33) is 2
-            return dist
+        def off_by_one(adj, start, within):
+            levels = real(adj, start, within)
+            if start == 0 and list(adj) == target:
+                # G(3, 2): dist(11, 33) is 2; the walk reports 3
+                levels[2] ^= 1 << 5
+                levels.append(1 << 5)
+                moved.append(start)
+            return levels
 
-        monkeypatch.setattr(graphs, "bfs_distances", off_by_one)
+        monkeypatch.setattr(graphs, "_walk", off_by_one)
         report = run_verify(cmax=2, dmax=3)
         check = check_named(report, "distance-law")
         assert check.status == "fail"
         assert check.details == "AssertionError: d=3 c=2: dist(11,33) = 3 != 2"
         assert not report.ok
+        assert moved
 
     def test_wrong_quotient_is_named(self, monkeypatch):
         real = spectra.rayleigh
@@ -207,24 +213,26 @@ class TestFailurePaths:
 
 class TestSharing:
     def test_one_bfs_per_vertex_per_graph(self, monkeypatch):
-        # Keyed by content, so a rebuilt copy of a family member counts
-        # against the same budget as the first build.
-        real = graphs.bfs_distances
+        # Keyed by the graph's own mask tuple, held for the run so that no
+        # id is reused; test_one_base_build_per_member rules out rebuilt
+        # copies of a member.
+        real = graphs._walk
 
         def run_counted():
             calls = Counter()
+            held = []
 
-            def counted(g, source):
-                key = (g.labels, tuple(g.neighbor_mask(v) for v in range(g.n)))
-                calls[key] += 1
-                return real(g, source)
+            def counted(adj, start, within):
+                held.append(adj)
+                calls[id(adj), start] += 1
+                return real(adj, start, within)
 
-            monkeypatch.setattr(graphs, "bfs_distances", counted)
+            monkeypatch.setattr(graphs, "_walk", counted)
             assert run_verify(cmax=4, dmax=4).ok
             return calls
 
         first = run_counted()
-        assert all(count <= len(key[1]) for key, count in first.items())
+        assert first and set(first.values()) == {1}
         second = run_counted()
         assert sum(second.values()) == sum(first.values())
 
