@@ -95,13 +95,14 @@ def build_graph(spec: FamilySpec) -> Graph:
 
 def _load_graph(text: str, admit: Callable[[int], None] | None = None) -> Graph:
     """A family spec, or a path to a graph6 / edge-list file.  ``admit``
-    sees a family member's closed-form order before the member is built."""
+    sees the order before anything is built: a family member's closed form,
+    a graph6 header's count, or an edge list's largest index."""
     try:
         spec = parse_family_spec(text)
     except ValueError as spec_err:
         path = Path(text)
         if path.is_file():
-            return read_graph_auto(path.read_text())
+            return read_graph_auto(path.read_text(), admit)
         if path.exists():
             raise ValueError(f"{spec_err}; and {text!r} is not a regular file") from None
         raise ValueError(f"{spec_err}; and no file named {text!r} exists") from None

@@ -10,6 +10,8 @@ keeps labels.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .graphs import Graph, _iter_bits
 
 _HEADER = ">>graph6<<"
@@ -64,9 +66,10 @@ def write_graph6(g: Graph, header: bool = False) -> str:
     return prefix + _encode_n(g.n) + body
 
 
-def read_graph6(text: str) -> Graph:
+def read_graph6(text: str, admit: Callable[[int], None] | None = None) -> Graph:
     """The one graph in ``text``; sparse6, digraph6 and a file of several
-    graphs are refused by name."""
+    graphs are refused by name.  ``admit`` sees the header's vertex count
+    before anything is built."""
     lines = [line for line in map(str.strip, text.split("\n")) if line]
     line = lines[0] if lines else ""
     if line.startswith((":", ">>sparse6<<")):
@@ -81,6 +84,8 @@ def read_graph6(text: str) -> Graph:
     if len(lines) > 1:
         raise ValueError(f"graph6 input holds {len(lines)} graphs; lapfam reads one per file")
     n, consumed = _decode_n(line)
+    if admit is not None:
+        admit(n)
     body = line[consumed:]
     need = (n * (n - 1) // 2 + 5) // 6
     if len(body) != need:
@@ -117,9 +122,10 @@ def write_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_edgelist(text: str) -> Graph:
+def read_edgelist(text: str, admit: Callable[[int], None] | None = None) -> Graph:
     """Inverse of write_edgelist; the vertex count is the largest index seen,
-    so trailing isolated vertices do not survive a round trip."""
+    so trailing isolated vertices do not survive a round trip.  ``admit``
+    sees that count before the graph is built."""
     rows = [line.strip() for line in text.splitlines()]
     rows = [line for line in rows if line]
     if rows and rows[0].replace(" ", "").lower() == "u,v":
@@ -137,13 +143,16 @@ def read_edgelist(text: str) -> Graph:
             raise ValueError(f"self-loop in edge list line: {line!r}")
         n = max(n, u, v)
         edges.append((u - 1, v - 1))
+    if admit is not None:
+        admit(n)
     return Graph(n, edges)
 
 
-def read_graph_auto(text: str) -> Graph:
+def read_graph_auto(text: str, admit: Callable[[int], None] | None = None) -> Graph:
     """Sniff edge list vs graph6: a comma anywhere, or a digit first, means
     edge list (graph6 characters run from ``?`` to ``~``, so no graph6 line
-    starts with a digit)."""
+    starts with a digit).  ``admit`` sees the vertex count before anything
+    is built."""
     if "," in text or "0" <= text.lstrip()[:1] <= "9":
-        return read_edgelist(text)
-    return read_graph6(text)
+        return read_edgelist(text, admit)
+    return read_graph6(text, admit)

@@ -1,11 +1,14 @@
 """Exact dense linear algebra over arbitrary-precision integers.
 
 Matrices are lists of row lists.  Nothing here ever touches floating
-point.  The characteristic polynomial is computed by Hessenberg reduction
-(Cohen, "A Course in Computational Algebraic Number Theory", Alg. 2.2.9)
-modulo a product of word-size primes, each certified by deterministic
-Miller-Rabin below its proven limit; Hadamard's inequality fixes in advance
-how many primes make the symmetric lift exact.
+point.  The characteristic polynomial is computed modulo a product of
+word-size primes, each certified by deterministic Miller-Rabin below its
+proven limit; Hadamard's inequality fixes in advance how many primes make
+the symmetric lift exact.  A symmetric matrix goes through Lanczos'
+three-term recurrence (Lanczos, J. Res. Nat. Bur. Standards 45, 1950),
+exact when every square norm is a unit; any other matrix, and a modulus
+on which Lanczos breaks down, through Hessenberg reduction (Cohen, "A
+Course in Computational Algebraic Number Theory", Alg. 2.2.9).
 Rank uses Bareiss one-step fraction-free elimination with first-nonzero
 pivoting (every division is by the previous pivot and is exact; asserted).
 The module holds only what the library calls.
@@ -132,24 +135,73 @@ def _char_poly_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int:
     return polys[n]
 
 
+def _lanczos_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int | None:
+    """det(xI - A) mod a squarefree q for a symmetric A, by Lanczos from the
+    start vector v_0 = (3, 9, 27, ...): with d_j = v_j.v_j,
+    alpha_j = (Av_j.v_j)/d_j and gamma_j = d_j/d_{j-1},
+    v_{j+1} = Av_j - alpha_j v_j - gamma_j v_{j-1} and
+    p_{j+1} = (x - alpha_j) p_j - gamma_j p_{j-1}.
+    While the d_j are units the v_j are pairwise orthogonal, since A is
+    symmetric; once all n are, the v_j are a basis (V^T V is invertible) in
+    which A is tridiagonal, so p_n = det(xI - A) over Z/qZ and v_n = 0
+    (asserted).  A norm sharing a proper factor g with q returns g, to split
+    q; a norm of 0 mod q (the Krylov space exhausted, as for every matrix
+    with a repeated eigenvalue, or an isotropic v_j) returns None.
+    O(n * nnz + n^2) operations."""
+    n = len(a)
+    # Each row's nonzero entries, kept as the raw small ints (as residues,
+    # -1 would be q - 1 and every product big by big), with the columns
+    # that hold each: a Laplacian row {deg: [i], -1: N(i)} is two products.
+    rows = []
+    for row in a:
+        by_value: dict[int, list[int]] = {}
+        for j, x in enumerate(row):
+            if x:
+                by_value.setdefault(x, []).append(j)
+        rows.append(by_value.items())
+    v = [pow(3, i + 1, q) for i in range(n)]
+    prev, inv_prev, p_prev, p = [0] * n, 0, [], [1]
+    for _ in range(n):
+        d = sum(map(mul, v, v)) % q
+        if (g := gcd(d, q)) > 1:
+            return g if g < q else None
+        inv = pow(d, -1, q)
+        w = [sum([x * sum(map(v.__getitem__, cols)) for x, cols in row]) for row in rows]
+        alpha, gamma = sum(map(mul, w, v)) * inv % q, d * inv_prev % q
+        prev, v = v, [(x - alpha * y - gamma * z) % q for x, y, z in zip(w, v, prev)]
+        p_prev, p = p, [
+            (s - alpha * t - gamma * u) % q
+            for s, t, u in zip([0] + p, p + [0], p_prev + [0, 0])
+        ]
+        inv_prev = inv
+    assert not any(v), "Lanczos left a non-zero v_n"
+    return p
+
+
 def char_poly(a: Sequence[Sequence[int]]) -> CharPoly:
     """Characteristic polynomial det(xI - A) of an integer matrix, exactly,
     by ascending degree, lifted to the symmetric range (-M/2, M/2] from its
     residues modulo M, the product of the fewest primes below 2**78 that
-    exceeds twice ``hadamard_bound(a)``, so the lift is exact.  One O(n^3)
-    pass modulo M; a pivot sharing a factor with the modulus splits it by
-    gcd, and the residues modulo the parts are joined by CRT.
+    exceeds twice ``hadamard_bound(a)``, so the lift is exact.  A symmetric
+    matrix takes one O(n * nnz + n^2) Lanczos pass modulo M, and one O(n^3)
+    Hessenberg pass modulo any part on which Lanczos breaks down; any other
+    matrix takes the Hessenberg pass alone.  A norm or pivot sharing a
+    factor with the modulus splits it by gcd, and the residues modulo the
+    parts are joined by CRT.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
+    symmetric = all(tuple(row) == col for row, col in zip(a, zip(*a)))
     bound = hadamard_bound(a)
     k = prime_count(bound)
     modulus = prod(_primes[:k])
     coeffs, joined, work = [0] * (n + 1), 1, [modulus]
     while work:  # squarefree, pairwise coprime; with `joined`, their product is M
         q = work.pop()
-        res = _char_poly_mod(a, q)
+        res = _lanczos_mod(a, q) if symmetric else None
+        if res is None:  # not symmetric, or a Lanczos breakdown
+            res = _char_poly_mod(a, q)
         if isinstance(res, int):
             work += [res, q // res]
             continue

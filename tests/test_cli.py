@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from lapfam import (
     Check,
+    Graph,
     VerifyReport,
     char_poly,
     dimension_search,
@@ -278,8 +279,33 @@ class TestDimension:
         assert code == 2
         assert err == "lapfam: error: max_size must be non-negative: -1\n"
 
+    @pytest.mark.parametrize(
+        "name, text, order",
+        [
+            ("far.csv", "u,v\n1,2\n1,1000000\n", 10**6),
+            ("far.g6", "~~??BsH?\n", 10**6),  # a header alone, no body
+            ("path25.g6", "X" + "?" * 50 + "\n", 25),
+        ],
+    )
+    def test_oversized_file_refused_before_build(
+        self, capsys, monkeypatch, tmp_path, name, text, order
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("a graph was built")
+
+        monkeypatch.setattr(Graph, "__init__", never)
+        monkeypatch.setattr(Graph, "_from_masks", classmethod(never))
+        graph_file = tmp_path / name
+        graph_file.write_text(text)
+        code, out, err = run_cli(capsys, "dimension", str(graph_file))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"lapfam: error: subset search over {order} > 24 vertices; "
+            "pass allow_large=True to force\n"
+        )
+
     def test_refusal_matches_the_search_policy(self, capsys, tmp_path):
-        # a file input is read, then refused by dimension_search itself
+        # a file input is refused as the spec of the same order is
         graph_file = tmp_path / "g.g6"
         graph_file.write_text(write_graph6(resolver_graph(2, 12)) + "\n")
         from_file = run_cli(capsys, "dimension", str(graph_file))
@@ -381,7 +407,7 @@ class TestErrorPaths:
 
     def test_out_of_memory_is_exit_2(self, capsys, monkeypatch, tmp_path):
         # The loader raises as an oversized file would, without allocating.
-        def exhausted(text):
+        def exhausted(text, admit=None):
             raise MemoryError
 
         monkeypatch.setattr(cli, "read_graph_auto", exhausted)

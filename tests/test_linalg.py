@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lapfam import char_poly, laplacian, linalg, resolver_graph
+from lapfam.formats import read_graph6
 from lapfam.linalg import (
     MR_LIMIT,
     hadamard_bound,
@@ -50,16 +51,46 @@ def large_matrices(draw, max_n=6):
     return m
 
 
-def spy_char_poly_mod(monkeypatch):
-    """Record the modulus of every ``_char_poly_mod`` call."""
-    calls, real = [], linalg._char_poly_mod
+def spy_char_poly_mod(monkeypatch, name="_char_poly_mod"):
+    """Record the modulus of every call to the modular pass ``name``."""
+    calls, real = [], getattr(linalg, name)
 
     def spy(a, q):
         calls.append(q)
         return real(a, q)
 
-    monkeypatch.setattr(linalg, "_char_poly_mod", spy)
+    monkeypatch.setattr(linalg, name, spy)
     return calls
+
+
+def petersen_laplacian():
+    # spectrum 0, 2 (5 times), 5 (4 times)
+    return laplacian(read_graph6("IheA@GUAo"))
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=8, lo=-20, hi=20):
+    """Symmetric integer matrices, most of them derogatory by construction
+    (an eigenvalue with more than one Jordan block): a block repeated down
+    the diagonal, c*I + J, or the Petersen graph's Laplacian."""
+    def symmetric(n):
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = draw(st.integers(lo, hi))
+        return m
+
+    shape = draw(st.sampled_from(["any", "blocks", "c*I+J", "petersen"]))
+    if shape == "any":
+        return symmetric(draw(st.integers(1, max_n)))
+    if shape == "blocks":
+        block, copies = symmetric(draw(st.integers(1, 3))), draw(st.integers(2, 3))
+        b, n = len(block), len(block) * copies
+        return [[block[i % b][j % b] if i // b == j // b else 0 for j in range(n)] for i in range(n)]
+    if shape == "c*I+J":
+        n, c = draw(st.integers(2, max_n)), draw(st.integers(lo, hi))
+        return [[c * (i == j) + 1 for j in range(n)] for i in range(n)]
+    return petersen_laplacian()
 
 
 class TestBasics:
@@ -204,16 +235,71 @@ class TestModularCharPoly:
         assert sorted(calls[1:]) == sorted(moduli_used(cp))
 
     def test_gap_spectrum_takes_one_pass(self, monkeypatch):
-        calls = spy_char_poly_mod(monkeypatch)
+        lanczos = spy_char_poly_mod(monkeypatch, "_lanczos_mod")
+        hessenberg = spy_char_poly_mod(monkeypatch)
         cp = char_poly(laplacian(resolver_graph(2, 24)))
         assert cp.moduli == 3
-        assert calls == [prod(moduli_used(cp))]
+        assert lanczos == [prod(moduli_used(cp))]
+        assert hessenberg == []
 
     def test_result_is_a_plain_coefficient_list(self):
         cp = char_poly([[2, -1], [-1, 2]])
         assert isinstance(cp, list) and cp == [3, -4, 1]
         assert cp.moduli == 1
         assert char_poly([]).moduli == 1
+
+
+class TestLanczos:
+    @settings(max_examples=120, deadline=None)
+    @given(m=symmetric_matrices())
+    def test_symmetric_matrices_match_faddeev_leverrier(self, m):
+        assert char_poly(m) == faddeev_leverrier_charpoly(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(m=symmetric_matrices(max_n=6, lo=-(10**20), hi=10**20))
+    def test_large_symmetric_entries_match_one_pass_per_prime(self, m):
+        cp, want = char_poly(m), per_prime_charpoly(m)
+        assert cp == want and cp.moduli == want.moduli
+
+    def test_derogatory_laplacian_falls_back_per_modulus(self, monkeypatch):
+        lap = petersen_laplacian()
+        lanczos = spy_char_poly_mod(monkeypatch, "_lanczos_mod")
+        hessenberg = spy_char_poly_mod(monkeypatch)
+        cp = char_poly(lap)
+        assert cp == faddeev_leverrier_charpoly(lap)
+        # A repeated eigenvalue exhausts the Krylov space modulo every prime,
+        # so the modulus breaks down whole and goes to Hessenberg unsplit.
+        assert lanczos == hessenberg == [prod(moduli_used(cp))]
+        assert linalg._lanczos_mod(lap, linalg._primes[0]) is None
+
+    def test_non_unit_norm_splits_the_modulus(self, monkeypatch):
+        char_poly([[1]])  # certifies the first prime
+        p = linalg._primes[0]
+        # Modulo p, A v_0 = A (3, 9) = (3p + 27, 81) is 9 v_0, so v_1 and its
+        # norm vanish; modulo the other prime they do not.  The one pass over
+        # their product splits it, and only p falls back to Hessenberg.
+        m = [[p, 3], [3, 8]]
+        moduli = per_prime_charpoly(m).moduli
+        lanczos = spy_char_poly_mod(monkeypatch, "_lanczos_mod")
+        hessenberg = spy_char_poly_mod(monkeypatch)
+        cp = char_poly(m)
+        assert cp == faddeev_leverrier_charpoly(m)
+        assert cp.moduli == moduli == 2
+        assert lanczos[0] == prod(moduli_used(cp))
+        assert sorted(lanczos[1:]) == sorted(moduli_used(cp))
+        assert hessenberg == [p]
+
+    def test_asymmetric_matrix_takes_no_lanczos_pass(self, monkeypatch):
+        lanczos = spy_char_poly_mod(monkeypatch, "_lanczos_mod")
+        assert char_poly([[1, 2], [3, 4]]) == [-2, -5, 1]
+        assert lanczos == []
+
+    @pytest.mark.parametrize("d, c", [(3, 2), (3, 5), (4, 2)])
+    def test_prime_laplacian_needs_no_fallback(self, d, c):
+        # gplus:d,c for d >= 3 is prime, with every eigenvalue simple
+        lap = laplacian(resolver_graph(d, c))
+        q = prod(moduli_used(char_poly(lap)))
+        assert linalg._lanczos_mod(lap, q) == linalg._char_poly_mod(lap, q)
 
 
 class TestIsPrime:
