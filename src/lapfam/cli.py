@@ -102,7 +102,7 @@ def _load_graph(text: str, admit: Callable[[int], None] | None = None) -> Graph:
     except ValueError as spec_err:
         path = Path(text)
         if path.is_file():
-            return read_graph_auto(path.read_text(), admit)
+            return read_graph_auto(path.read_text(encoding="utf-8-sig"), admit)
         if path.exists():
             raise ValueError(f"{spec_err}; and {text!r} is not a regular file") from None
         raise ValueError(f"{spec_err}; and no file named {text!r} exists") from None

@@ -2,13 +2,13 @@
 
 Matrices are lists of row lists.  Nothing here ever touches floating
 point.  The characteristic polynomial is computed modulo a product of
-word-size primes, each certified by deterministic Miller-Rabin below its
-proven limit; Hadamard's inequality fixes in advance how many primes make
-the symmetric lift exact.  A symmetric matrix goes through Lanczos'
-three-term recurrence (Lanczos, J. Res. Nat. Bur. Standards 45, 1950),
-exact when every square norm is a unit; any other matrix, and a modulus
-on which Lanczos breaks down, through Hessenberg reduction (Cohen, "A
-Course in Computational Algebraic Number Theory", Alg. 2.2.9).
+primes just below 2**78, each certified by deterministic Miller-Rabin
+below its proven limit; Hadamard's inequality fixes in advance how many
+primes make the symmetric lift exact.  A symmetric matrix goes through
+Lanczos' three-term recurrence (Lanczos, J. Res. Nat. Bur. Standards 45,
+1950), exact when every square norm is a unit; any other matrix, and a
+Lanczos breakdown, through Hessenberg reduction (Cohen, "A Course in
+Computational Algebraic Number Theory", Alg. 2.2.9).
 Rank uses Bareiss one-step fraction-free elimination with first-nonzero
 pivoting (every division is by the previous pivot and is exact; asserted).
 The module holds only what the library calls.
@@ -96,22 +96,20 @@ def prime_count(bound: int) -> int:
     return k
 
 
-def _char_poly_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int:
+def _char_poly_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | None:
     """det(xI - A) mod a squarefree q: reduce A to upper Hessenberg form H by
     similarity, then p_{k+1} = (x - h_kk) p_k - sum_{i<k} h_ik h_{i+1,i}...h_{k,k-1} p_i
     over the characteristic polynomials p_k of H's leading k x k blocks.
-    Both steps hold over Z/qZ while every pivot is a unit; at the first
-    non-zero pivot that is not, the proper factor gcd(pivot, q) of q is
-    returned instead of the coefficient list."""
+    Both steps hold over Z/qZ while every pivot is a unit; a non-zero pivot
+    that is not (never met when q is prime) returns None."""
     n = len(a)
     h = [[x % q for x in row] for row in a]
     for m in range(1, n - 1):
         piv = next((i for i in range(m, n) if h[i][m - 1]), None)
         if piv is None:
             continue
-        g = gcd(h[piv][m - 1], q)
-        if g > 1:
-            return g
+        if gcd(h[piv][m - 1], q) > 1:
+            return None
         if piv != m:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
@@ -135,7 +133,7 @@ def _char_poly_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int:
     return polys[n]
 
 
-def _lanczos_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int | None:
+def _lanczos_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | None:
     """det(xI - A) mod a squarefree q for a symmetric A, by Lanczos from the
     start vector v_0 = (3, 9, 27, ...): with d_j = v_j.v_j,
     alpha_j = (Av_j.v_j)/d_j and gamma_j = d_j/d_{j-1},
@@ -144,10 +142,9 @@ def _lanczos_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int | None:
     While the d_j are units the v_j are pairwise orthogonal, since A is
     symmetric; once all n are, the v_j are a basis (V^T V is invertible) in
     which A is tridiagonal, so p_n = det(xI - A) over Z/qZ and v_n = 0
-    (asserted).  A norm sharing a proper factor g with q returns g, to split
-    q; a norm of 0 mod q (the Krylov space exhausted, as for every matrix
-    with a repeated eigenvalue, or an isotropic v_j) returns None.
-    O(n * nnz + n^2) operations."""
+    (asserted).  A norm that is not a unit returns None: 0 mod q when the
+    Krylov space is exhausted, as for every matrix with a repeated
+    eigenvalue, or v_j is isotropic.  O(n * nnz + n^2) operations."""
     n = len(a)
     # Each row's nonzero entries, kept as the raw small ints (as residues,
     # -1 would be q - 1 and every product big by big), with the columns
@@ -163,8 +160,8 @@ def _lanczos_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | int | None:
     prev, inv_prev, p_prev, p = [0] * n, 0, [], [1]
     for _ in range(n):
         d = sum(map(mul, v, v)) % q
-        if (g := gcd(d, q)) > 1:
-            return g if g < q else None
+        if gcd(d, q) > 1:
+            return None
         inv = pow(d, -1, q)
         w = [sum([x * sum(map(v.__getitem__, cols)) for x, cols in row]) for row in rows]
         alpha, gamma = sum(map(mul, w, v)) * inv % q, d * inv_prev % q
@@ -183,11 +180,10 @@ def char_poly(a: Sequence[Sequence[int]]) -> CharPoly:
     by ascending degree, lifted to the symmetric range (-M/2, M/2] from its
     residues modulo M, the product of the fewest primes below 2**78 that
     exceeds twice ``hadamard_bound(a)``, so the lift is exact.  A symmetric
-    matrix takes one O(n * nnz + n^2) Lanczos pass modulo M, and one O(n^3)
-    Hessenberg pass modulo any part on which Lanczos breaks down; any other
-    matrix takes the Hessenberg pass alone.  A norm or pivot sharing a
-    factor with the modulus splits it by gcd, and the residues modulo the
-    parts are joined by CRT.
+    matrix takes one O(n * nnz + n^2) Lanczos pass modulo M; any other
+    matrix, or a Lanczos breakdown, one O(n^3) Hessenberg pass modulo M.
+    Only a Hessenberg pivot that is not a unit modulo M sends the matrix
+    to one Hessenberg pass per prime, joined by CRT.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -196,15 +192,15 @@ def char_poly(a: Sequence[Sequence[int]]) -> CharPoly:
     bound = hadamard_bound(a)
     k = prime_count(bound)
     modulus = prod(_primes[:k])
-    coeffs, joined, work = [0] * (n + 1), 1, [modulus]
-    while work:  # squarefree, pairwise coprime; with `joined`, their product is M
-        q = work.pop()
-        res = _lanczos_mod(a, q) if symmetric else None
-        if res is None:  # not symmetric, or a Lanczos breakdown
-            res = _char_poly_mod(a, q)
-        if isinstance(res, int):
-            work += [res, q // res]
-            continue
+    res = _lanczos_mod(a, modulus) if symmetric else None
+    if res is None:  # not symmetric, or a Lanczos breakdown
+        res = _char_poly_mod(a, modulus)
+    parts = [(modulus, res)]
+    if res is None:  # a non-unit pivot; modulo a prime, every non-zero one is a unit
+        parts = [(p, _char_poly_mod(a, p)) for p in _primes[:k]]
+    coeffs, joined = [0] * (n + 1), 1
+    for q, res in parts:
+        assert res is not None, f"a non-unit pivot modulo the prime {q}"
         inv = pow(joined, -1, q)
         coeffs = [x + joined * ((r - x) * inv % q) for x, r in zip(coeffs, res)]
         joined *= q

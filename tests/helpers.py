@@ -131,7 +131,7 @@ def faddeev_leverrier_charpoly(mat):
 
 def per_prime_charpoly(mat):
     """det(xI - mat) as a ``CharPoly``, by one Hessenberg pass modulo each
-    certified prime below 2**78 in turn (a prime modulus never splits),
+    certified prime below 2**78 in turn (every non-zero pivot a unit),
     joined by CRT until the product M exceeds twice the Hadamard bound, and
     lifted to (-M/2, M/2]."""
     n = len(mat)

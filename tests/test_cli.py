@@ -184,6 +184,17 @@ class TestSpectrum:
         assert payload["n"] == 3
         assert payload["realizes_S"] == 2
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [("path.csv", "u,v\n1,2\n2,3\n"), ("bare.csv", "1,2\n2,3\n"), ("path.g6", "Bg\n")],
+    )
+    def test_file_with_a_byte_order_mark(self, capsys, tmp_path, name, text):
+        # spreadsheet "CSV UTF-8" exports and Notepad start files with a BOM
+        graph_file = tmp_path / name
+        graph_file.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        payload = run_json(capsys, "spectrum", str(graph_file))
+        assert (payload["n"], payload["edges"], payload["realizes_S"]) == (3, 2, 2)
+
     def test_wide_alphabet_keys_present(self, capsys):
         payload = run_json(capsys, "spectrum", "gplus:3,3")
         assert payload["n"] == 13
@@ -512,11 +523,12 @@ _no_digit_bytes = st.binary(max_size=32).map(lambda raw: raw.translate(None, b"0
 class TestFileFuzz:
     @settings(max_examples=150, deadline=None)
     @given(
-        raw=_csv_texts.map(str.encode) | _graph6_texts().map(str.encode) | _no_digit_bytes
+        raw=_csv_texts.map(str.encode) | _graph6_texts().map(str.encode) | _no_digit_bytes,
+        bom=st.sampled_from([b"", b"\xef\xbb\xbf"]),
     )
-    def test_exit_code_and_one_line(self, tmp_path_factory, raw):
+    def test_exit_code_and_one_line(self, tmp_path_factory, raw, bom):
         graph_file = tmp_path_factory.getbasetemp() / "fuzz-input"
-        graph_file.write_bytes(raw)
+        graph_file.write_bytes(bom + raw)
         for argv in (["spectrum"], ["dimension", "--max-size", "2"]):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

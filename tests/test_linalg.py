@@ -40,10 +40,10 @@ def square_matrices(max_n=5, lo=-5, hi=5):
 
 
 @st.composite
-def large_matrices(draw, max_n=6):
+def large_matrices(draw, min_n=2, max_n=6):
     """Entries up to 10**30 in size, with a diagonal of at least 10**29 in
     every row, so the Hadamard bound needs 3 or more primes."""
-    n = draw(st.integers(min_value=2, max_value=max_n))
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     big = st.integers(10**29, 10**30) | st.integers(-(10**30), -(10**29))
     m = [draw(st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n)) for _ in range(n)]
     for i in range(n):
@@ -220,11 +220,12 @@ class TestModularCharPoly:
         assert cp == faddeev_leverrier_charpoly(m)
         assert cp.moduli >= 3
 
-    def test_non_unit_pivot_splits_the_modulus(self, monkeypatch):
+    def test_non_unit_pivot_falls_back_per_prime(self, monkeypatch):
         char_poly([[1]])  # certifies the first prime
         p = linalg._primes[0]
         # The first sub-diagonal pivot, p, is zero modulo p and a unit modulo
-        # the other prime, so the one pass over their product must split.
+        # the other prime, so the pass over their product stops there and
+        # one pass per prime follows.
         m = [[1, 2, 3, 4], [p, 5, 6, 7], [8, 9, 10, 11], [12, 13, 14, 15]]
         moduli = per_prime_charpoly(m).moduli
         calls = spy_char_poly_mod(monkeypatch)
@@ -233,6 +234,18 @@ class TestModularCharPoly:
         assert cp.moduli == moduli == 2
         assert calls[0] == prod(moduli_used(cp))
         assert sorted(calls[1:]) == sorted(moduli_used(cp))
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=large_matrices(min_n=3), k=st.integers(1, 10**6))
+    def test_non_unit_pivot_takes_one_pass_per_prime_of_many(self, m, k):
+        char_poly([[1]])  # certifies the first prime
+        m[1][0] = k * linalg._primes[0]  # the first pivot, no unit modulo M
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_char_poly_mod(mp)
+            cp = char_poly(m)
+        assert cp == faddeev_leverrier_charpoly(m)
+        assert cp.moduli >= 3
+        assert calls == [prod(moduli_used(cp))] + moduli_used(cp)
 
     def test_gap_spectrum_takes_one_pass(self, monkeypatch):
         lanczos = spy_char_poly_mod(monkeypatch, "_lanczos_mod")
@@ -268,16 +281,17 @@ class TestLanczos:
         cp = char_poly(lap)
         assert cp == faddeev_leverrier_charpoly(lap)
         # A repeated eigenvalue exhausts the Krylov space modulo every prime,
-        # so the modulus breaks down whole and goes to Hessenberg unsplit.
+        # so Lanczos breaks down and Hessenberg runs modulo the same product.
         assert lanczos == hessenberg == [prod(moduli_used(cp))]
         assert linalg._lanczos_mod(lap, linalg._primes[0]) is None
 
-    def test_non_unit_norm_splits_the_modulus(self, monkeypatch):
+    def test_non_unit_norm_falls_back_to_hessenberg(self, monkeypatch):
         char_poly([[1]])  # certifies the first prime
         p = linalg._primes[0]
         # Modulo p, A v_0 = A (3, 9) = (3p + 27, 81) is 9 v_0, so v_1 and its
-        # norm vanish; modulo the other prime they do not.  The one pass over
-        # their product splits it, and only p falls back to Hessenberg.
+        # norm vanish; modulo the other prime they do not.  That norm is no
+        # unit modulo their product, so Lanczos stops and Hessenberg runs
+        # modulo the same product.
         m = [[p, 3], [3, 8]]
         moduli = per_prime_charpoly(m).moduli
         lanczos = spy_char_poly_mod(monkeypatch, "_lanczos_mod")
@@ -285,9 +299,7 @@ class TestLanczos:
         cp = char_poly(m)
         assert cp == faddeev_leverrier_charpoly(m)
         assert cp.moduli == moduli == 2
-        assert lanczos[0] == prod(moduli_used(cp))
-        assert sorted(lanczos[1:]) == sorted(moduli_used(cp))
-        assert hessenberg == [p]
+        assert lanczos == hessenberg == [prod(moduli_used(cp))]
 
     def test_asymmetric_matrix_takes_no_lanczos_pass(self, monkeypatch):
         lanczos = spy_char_poly_mod(monkeypatch, "_lanczos_mod")

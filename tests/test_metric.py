@@ -10,6 +10,7 @@ from lapfam import (
     Graph,
     SearchExhausted,
     combination_graph,
+    diameter,
     dimension_search,
     is_multiset_resolving,
     is_outer_multiset_resolving,
@@ -168,6 +169,50 @@ class TestResolverSetProperty:
         for d in (4, 5):
             g = resolver_graph(d, c)
             assert not is_outer_multiset_resolving(g, resolver_indices(g, c))
+
+
+def delete_vertex(g, x):
+    """g without vertex x; the later vertices shift down by one."""
+    keep = [v for v in range(g.n) if v != x]
+    index = {v: i for i, v in enumerate(keep)}
+    edges = [(index[u], index[v]) for u, v in g.edges() if x not in (u, v)]
+    return Graph(g.n - 1, edges, [g.labels[v] for v in keep])
+
+
+def two_point_capacity(d):
+    """The most distinct outer multisets {a1, a2} a pair S = {s1, s2} can
+    see in a graph of diameter at most d: a1, a2 in 1..d, and the triangle
+    inequality |a1 - a2| <= delta <= a1 + a2 for delta = dist(s1, s2)."""
+    return max(
+        len(
+            {
+                tuple(sorted((a1, a2)))
+                for a1 in range(1, d + 1)
+                for a2 in range(1, d + 1)
+                if abs(a1 - a2) <= delta <= a1 + a2
+            }
+        )
+        for delta in range(1, d + 1)
+    )
+
+
+class TestExtremalOrder:
+    """f(4, 2) = 11: the most vertices of a graph with diameter 4 and outer
+    multiset dimension 2, where gplus:4,2's 12 are out of reach."""
+
+    def test_capacity_bounds_the_order_by_eleven(self):
+        # the n - 2 outer vertices need distinct multisets
+        assert two_point_capacity(4) == 9
+        assert [two_point_capacity(d) for d in (2, 3, 5)] == [3, 6, 13]
+
+    @pytest.mark.parametrize("label", ["13", "14"])
+    def test_deleting_a_colliding_sequence_attains_it(self, label):
+        g = resolver_graph(4, 2)
+        h = delete_vertex(g, [str(lab) for lab in g.labels].index(label))
+        assert (h.n, diameter(h)) == (11, 4)
+        assert dimension_search(h) == (2, (9, 10))
+        assert [str(h.labels[v]) for v in (9, 10)] == ["w1", "w2"]
+        assert naive_outer_dimension(h) == (2, (9, 10))
 
 
 class TestDimensionSearch:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -484,6 +485,60 @@ class TestGapSpectrum:
     def test_step_validates_spectrum(self):
         with pytest.raises(ValueError):
             realizability_step(Graph.path(4), 2, 4)
+
+
+@cache
+def cograph_spectra(n):
+    """Every Laplacian spectrum (ascending) of a cograph on n vertices, each
+    with one cotree that has it: None for K1, else (op, left, right).  A
+    cograph on n >= 2 vertices is a union or a join of two smaller ones; a
+    union's spectrum is its parts' together, and a join of orders n1 and n2
+    has 0, n and each part's spectrum less one 0, shifted by the other's
+    order.  Graphs are never built."""
+    if n == 1:
+        return {(0,): None}
+    out = {}
+    for n1 in range(1, n // 2 + 1):
+        n2 = n - n1
+        for a, left in cograph_spectra(n1).items():
+            for b, right in cograph_spectra(n2).items():
+                out.setdefault(tuple(sorted(a + b)), ("union", left, right))
+                shifted = [x + n2 for x in a[1:]] + [x + n1 for x in b[1:]]
+                out.setdefault(tuple(sorted([0, n] + shifted)), ("join", left, right))
+    return out
+
+
+def cotree_graph(tree):
+    if tree is None:
+        return Graph(1)
+    op, left, right = tree
+    return (join if op == "join" else disjoint_union)(cotree_graph(left), cotree_graph(right))
+
+
+class TestCographGapTable:
+    """Which S_{i,n} = {0..n} \\ {i}, all simple, some cograph realizes."""
+
+    @staticmethod
+    def realized(n):
+        """(i, a cotree realizing S_{i,n}) for each realized i; n >= 2."""
+        found = cograph_spectra(n)
+        for i in range(n + 1):
+            tree = found.get(tuple(x for x in range(n + 1) if x != i))
+            if tree is not None:
+                yield i, tree
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_realized_exactly_where_the_trace_is_even(self, n):
+        # the trace 2m = n(n+1)/2 - i is even for any graph
+        want = [i for i in range(1, n) if (n * (n + 1) // 2 - i) % 2 == 0]
+        assert [i for i, _ in self.realized(n)] == want
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_each_cotree_realizes_its_gap(self, n):
+        for i, tree in self.realized(n):
+            g = cotree_graph(tree)
+            assert g.n == n
+            assert graph_spectrum(g).gap == integral_spectrum(laplacian(g)).gap == i
 
 
 class TestThresholdOracle:
