@@ -1,24 +1,22 @@
-"""Exact dense linear algebra over arbitrary-precision integers.
+"""Exact linear algebra over arbitrary-precision integers; no floating point.
 
-Matrices are lists of row lists.  Nothing here ever touches floating
-point.  The characteristic polynomial is computed modulo a product of
-primes just below 2**78, each certified by deterministic Miller-Rabin
-below its proven limit; Hadamard's inequality fixes in advance how many
-primes make the symmetric lift exact.  A symmetric matrix goes through
-Lanczos' three-term recurrence (Lanczos, J. Res. Nat. Bur. Standards 45,
-1950), exact when every square norm is a unit; any other matrix, and a
-Lanczos breakdown, through Hessenberg reduction (Cohen, "A Course in
-Computational Algebraic Number Theory", Alg. 2.2.9).
-Rank uses Bareiss one-step fraction-free elimination with first-nonzero
-pivoting (every division is by the previous pivot and is exact; asserted).
-The module holds only what the library calls.
+Matrices are lists of row lists.  ``char_poly`` works modulo certified
+primes just below 2**78, as many as Hadamard's inequality asks for an exact
+lift: Lanczos' three-term recurrence (Lanczos, J. Res. Nat. Bur. Standards
+45, 1950) for a symmetric matrix, reading each row once as its diagonal
+entry and one getter per distinct off-diagonal value (``_gather``), and
+Hessenberg reduction (Cohen, "A Course in Computational Algebraic Number
+Theory", Alg. 2.2.9) for any other matrix or a Lanczos breakdown.  ``rank``
+is Bareiss fraction-free elimination, every division exact (asserted).
+``mat_vec`` is the dense product, the gathered product's test oracle.
 """
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, isqrt, prod
-from operator import mul
-from typing import Sequence
+from operator import itemgetter, mul
+from typing import Callable, Sequence
 
 IntMatrix = list[list[int]]
 
@@ -27,6 +25,36 @@ def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     if len(a) and len(a[0]) != len(x):
         raise ValueError("dimension mismatch")
     return [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
+
+
+def _getter(cols: Sequence[int]) -> Callable:
+    """Reads the entries in ``cols`` (non-empty) from a vector, as a sequence."""
+    return itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(cols[0], cols[0] + 1))
+
+
+def _gather(a: Sequence[Sequence[int]]) -> list[tuple]:
+    """Row i of a square matrix as (a_ii, ((x, the getter of the columns
+    j != i with a_ij = x) for each distinct non-zero x)), for ``_apply``.
+    The x stay raw ints, not residues (-1 would be q - 1, each product big)."""
+    rows = []
+    for i, row in enumerate(a):
+        cols: dict[int, list[int]] = {}
+        for j in compress(range(len(row)), row):  # the non-zero columns
+            if j != i:
+                cols.setdefault(row[j], []).append(j)
+        rows.append((row[i], tuple((x, _getter(js)) for x, js in cols.items())))
+    return rows
+
+
+def _apply(rows: Sequence[tuple], v: Sequence[int]) -> list[int]:
+    """A v for A gathered into ``rows``: one C-level sum per getter."""
+    out = []
+    for (diag, terms), y in zip(rows, v):
+        s = diag * y
+        for x, get in terms:
+            s += x * sum(get(v))
+        out.append(s)
+    return out
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -77,7 +105,7 @@ def hadamard_bound(a: Sequence[Sequence[int]]) -> int:
     c_{n-j} of det(xI - A) is a sum of j x j principal minors, and Hadamard's
     inequality bounds each by the product of its rows' norms."""
     e = [1]
-    for r in (isqrt(sum(x * x for x in row) - 1) + 1 if any(row) else 0 for row in a):
+    for r in (isqrt(sum(map(mul, row, row)) - 1) + 1 if any(row) else 0 for row in a):
         e = [x + r * y for x, y in zip(e + [0], [0] + e)]
     return max(e)
 
@@ -146,16 +174,7 @@ def _lanczos_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | None:
     Krylov space is exhausted, as for every matrix with a repeated
     eigenvalue, or v_j is isotropic.  O(n * nnz + n^2) operations."""
     n = len(a)
-    # Each row's nonzero entries, kept as the raw small ints (as residues,
-    # -1 would be q - 1 and every product big by big), with the columns
-    # that hold each: a Laplacian row {deg: [i], -1: N(i)} is two products.
-    rows = []
-    for row in a:
-        by_value: dict[int, list[int]] = {}
-        for j, x in enumerate(row):
-            if x:
-                by_value.setdefault(x, []).append(j)
-        rows.append(by_value.items())
+    rows = _gather(a)  # a Laplacian row: deg * v_i less one sum over N(i)
     v = [pow(3, i + 1, q) for i in range(n)]
     prev, inv_prev, p_prev, p = [0] * n, 0, [], [1]
     for _ in range(n):
@@ -163,7 +182,7 @@ def _lanczos_mod(a: Sequence[Sequence[int]], q: int) -> list[int] | None:
         if gcd(d, q) > 1:
             return None
         inv = pow(d, -1, q)
-        w = [sum([x * sum(map(v.__getitem__, cols)) for x, cols in row]) for row in rows]
+        w = _apply(rows, v)
         alpha, gamma = sum(map(mul, w, v)) * inv % q, d * inv_prev % q
         prev, v = v, [(x - alpha * y - gamma * z) % q for x, y, z in zip(w, v, prev)]
         p_prev, p = p, [
@@ -239,24 +258,15 @@ def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def rank(a: Sequence[Sequence[int]]) -> int:
     """Rank over the rationals of an integer matrix (Bareiss elimination)."""
     m = [list(row) for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    prev = 1
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+    prev, r = 1, 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            if not any(m[i][col + 1 :]) and not m[i][col]:
-                continue
-            for j in range(col + 1, ncols):
-                m[i][j] = _exact_div(m[r][col] * m[i][j] - m[i][col] * m[r][j], prev)
-            m[i][col] = 0
-        prev = m[r][col]
-        r += 1
-        if r == nrows:
-            break
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r][col:]
+        for i in range(r + 1, len(m)):
+            lead = m[i][col]
+            m[i][col:] = [_exact_div(top[0] * x - lead * y, prev) for x, y in zip(m[i][col:], top)]
+        prev, r = top[0], r + 1
     return r

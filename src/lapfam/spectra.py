@@ -9,16 +9,15 @@ eigenvalues 0 and n (k - 1 times), and each part's spectrum less one 0,
 shifted up by n - n_i (Mohar, "The Laplacian spectrum of graphs", 1991;
 Merris, "Laplacian graph eigenvectors", Linear Algebra Appl. 278, 1998).
 Components come from the BFS walk of ``graphs``, kept inside the part.
-Only a prime part, neither, takes a ``linalg.char_poly`` pass.
-``integral_spectrum`` takes the Laplacian matrix and always takes one:
-eigenvalues lie in [0, n], so dividing by x - lam for lam = n..0 finds
-the whole integral part, and as L is symmetric each root's multiplicity
-is dim ker(L - lam*I).  What remains is reported by degree only, as the
-``residual_degree`` of the one ``Spectrum`` result.
+Only a prime part, neither, takes a ``linalg.char_poly`` pass, on its
+dense Laplacian; ``integral_spectrum`` always takes one.
 
 The extended graph on 2c+1 vertices has Laplacian spectrum
 {0, 1, ..., 2c+1} \\ {c+1}, every eigenvalue simple, with closed-form
 integer eigenvectors falling into four classes indexed by r = 0..2c.
+Their identities read L x off the neighbourhood masks, in integers, as
+(L x)_v = deg(v) x_v minus the sum of x_u over N(v); the dense
+``laplacian`` and ``rayleigh`` stay as their oracles.
 A graph on n vertices *realizes the gap spectrum at i* when its Laplacian
 spectrum is exactly {0..n} \\ {i} with every eigenvalue simple.
 """
@@ -29,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -246,24 +246,27 @@ def eigenvector_family(c: int) -> IntMatrix:
     return [[cols[r][i] for r in range(n)] for i in range(n)]
 
 
+def _laplacian_rows(g: Graph) -> list[tuple]:
+    """g's Laplacian as ``linalg._gather`` rows, read off the masks with no
+    dense matrix: (L x)_v = deg(v) x_v - (the sum of x_u over N(v))."""
+    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
+    return [(len(us), ((-1, linalg._getter(us)),) if us else ()) for us in nbrs]
+
+
 def verify_eigenpairs(c: int) -> EigenpairReport:
     """Check L x = lambda x entrywise in integer arithmetic for every class,
     plus distinctness of the eigenvalues and full rank of the eigenvectors."""
-    g = resolver_graph_indexed(c)
-    lap = laplacian(g)
-    vecs = eigenvector_family(c)
-    n = g.n
-    eigenvalues = []
-    for r in range(n):
-        lam = eigenvalue_of_class(c, r)
-        eigenvalues.append(lam)
-        x = [vecs[i][r] for i in range(n)]
-        lx = linalg.mat_vec(lap, x)
-        for row in range(n):
-            if lx[row] != lam * x[row]:
-                raise VerificationError(
-                    r, row, f"(L x)[{row}] = {lx[row]} != {lam} * {x[row]} for column {r}"
-                )
+    return _eigenpairs(resolver_graph_indexed(c), c)
+
+
+def _eigenpairs(g: Graph, c: int) -> EigenpairReport:
+    """``verify_eigenpairs(c)`` on g, the caller's banded-index G+(2, c)."""
+    rows, vecs, n = _laplacian_rows(g), eigenvector_family(c), g.n
+    eigenvalues = [eigenvalue_of_class(c, r) for r in range(n)]
+    for r, (x, lam) in enumerate(zip(zip(*vecs), eigenvalues)):
+        for i, (y, v) in enumerate(zip(linalg._apply(rows, x), x)):
+            if y != lam * v:
+                raise VerificationError(r, i, f"(L x)[{i}] = {y} != {lam} * {v} for column {r}")
     if len(set(eigenvalues)) != n:
         raise VerificationError(-1, -1, f"eigenvalues not pairwise distinct: {eigenvalues}")
     rk = linalg.rank(vecs)
@@ -274,7 +277,9 @@ def verify_eigenpairs(c: int) -> EigenpairReport:
 
 def _cleared(x: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """x scaled by the lcm of its denominators, as ints, and that scale
-    (1 for integer input)."""
+    (1 for integer input, which skips Fraction)."""
+    if all(isinstance(v, int) for v in x):
+        return list(x), 1
     fracs = [Fraction(v) for v in x]
     scale = lcm(*(v.denominator for v in fracs))
     return [v.numerator * (scale // v.denominator) for v in fracs], scale
@@ -294,9 +299,7 @@ def rayleigh(lap: Sequence[Sequence[int]], x: Sequence[int | Fraction]) -> Fract
     norm2 = sum(v * v for v in xs)
     if norm2 == 0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    quad = sum(
-        xi * sum(a * xj for a, xj in zip(row, xs) if a) for xi, row in zip(xs, lap)
-    )
+    quad = sum(map(mul, xs, linalg.mat_vec(lap, xs)))
     edge_sum = sum(
         -a * (xi - xj) ** 2
         for i, (xi, row) in enumerate(zip(xs, lap))
@@ -311,6 +314,19 @@ def rayleigh(lap: Sequence[Sequence[int]], x: Sequence[int | Fraction]) -> Fract
     return Fraction(quad, norm2)
 
 
+def _quadratic_form(rows: list, edges: list, x: Sequence[int]) -> tuple[int, int]:
+    """(x^T L x, x^T x) for a non-zero integer x and L in ``_laplacian_rows``
+    form; x^T L x must equal the edge sum, as in ``rayleigh``."""
+    norm2 = sum(map(mul, x, x))
+    if norm2 == 0:
+        raise ValueError("Rayleigh quotient of the zero vector is undefined")
+    quad = sum(map(mul, x, linalg._apply(rows, x)))
+    edge_sum = sum((x[u] - x[v]) ** 2 for u, v in edges)
+    if quad != edge_sum:
+        raise ArithmeticError(f"quadratic form {quad} != edge sum {edge_sum}")
+    return quad, norm2
+
+
 def edge_partition_sums(c: int, x: Sequence[int | Fraction]) -> list[Fraction]:
     """Band sums N_1..N_c of the 2c+1 family member's edge partition.
 
@@ -322,11 +338,12 @@ def edge_partition_sums(c: int, x: Sequence[int | Fraction]) -> list[Fraction]:
     if len(x) != n:
         raise ValueError(f"vector length {len(x)} != {n}")
     xs, scale = _cleared(x)
-    sq = scale * scale
-    return [
-        Fraction(sum((xs[h - 1] - xj) ** 2 for xj in xs[h : 2 * c + 2 - h]), sq)
-        for h in range(1, c + 1)
-    ]
+    return [Fraction(band, scale * scale) for band in _band_sums(c, xs)]
+
+
+def _band_sums(c: int, xs: Sequence[int]) -> list[int]:
+    """``edge_partition_sums`` of an integer vector, as ints."""
+    return [sum((xs[h - 1] - xj) ** 2 for xj in xs[h : 2 * c + 2 - h]) for h in range(1, c + 1)]
 
 
 def realizes_gap_spectrum(g: Graph, i: int) -> bool:

@@ -37,7 +37,7 @@ from .graphs import (
     eccentricities,
     radius,
 )
-from .linalg import mat_vec
+from .linalg import _apply
 from .metric import (
     SEARCH_VERTEX_LIMIT,
     is_outer_multiset_resolving,
@@ -45,6 +45,10 @@ from .metric import (
     outer_multiset_dimension,
 )
 from .spectra import (
+    _band_sums,
+    _eigenpairs,
+    _laplacian_rows,
+    _quadratic_form,
     edge_partition_sums,
     eigenvalue_of_class,
     eigenvector_family,
@@ -53,7 +57,6 @@ from .spectra import (
     rayleigh,
     realizability_step,
     realizes_gap_spectrum,
-    verify_eigenpairs,
 )
 
 # c = 3 member of the extended family: Laplacian and eigenvector columns,
@@ -241,7 +244,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         raise AssertionError("disjoint-union variant is unexpectedly connected")
 
     def eigenpairs() -> str:
-        orders = [verify_eigenpairs(c).n for c in range(1, cmax + 1)]
+        orders = [_eigenpairs(resolver_graph_indexed(c), c).n for c in range(1, cmax + 1)]
         return f"exact eigenpairs and full-rank bases for n in {orders}"
 
     def spectrum_gap() -> str:
@@ -260,18 +263,15 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
 
     def rayleigh_identities() -> str:
         for c in range(1, cmax + 1):
-            lap = laplacian(resolver_graph_indexed(c))
-            vecs = eigenvector_family(c)
-            n = 2 * c + 1
-            for r in range(n):
-                x = [vecs[i][r] for i in range(n)]
+            g = resolver_graph_indexed(c)
+            rows, edges = _laplacian_rows(g), list(g.edges())
+            for r, x in enumerate(zip(*eigenvector_family(c))):
                 lam = eigenvalue_of_class(c, r)
-                if rayleigh(lap, x) != lam:
+                quad, norm2 = _quadratic_form(rows, edges, x)
+                if quad != lam * norm2:
                     raise AssertionError(f"quotient c={c} r={r}")
-                bands = edge_partition_sums(c, x)
-                norm2 = sum(v * v for v in x)
-                if sum(bands) != lam * norm2:
-                    raise AssertionError(f"band total c={c} r={r}: {bands}")
+                if sum(_band_sums(c, x)) != lam * norm2:
+                    raise AssertionError(f"band total c={c} r={r}: {edge_partition_sums(c, x)}")
         return f"rayleigh quotients and band sums match eigenvalues for c<={cmax}"
 
     def worked_example() -> str:
@@ -287,12 +287,8 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
 
     def kernel_support() -> str:
         for c in range(1, cmax + 1):
-            lap = laplacian(resolver_graph_indexed(c))
-            n = 2 * c + 1
-            truncated = [1] * (n - 1) + [0]
-            _require(
-                mat_vec(lap, truncated) != [0] * n, f"truncated vector c={c}"
-            )
+            rows = _laplacian_rows(resolver_graph_indexed(c))
+            _require(any(_apply(rows, [1] * (2 * c) + [0])), f"truncated vector c={c}")
         return (
             "kernel is spanned by the constant vector on all 2c+1 vertices; "
             "a vector constant on all but one vertex is not in it"

@@ -314,6 +314,67 @@ class TestLanczos:
         assert linalg._lanczos_mod(lap, q) == linalg._char_poly_mod(lap, q)
 
 
+@st.composite
+def sparse_symmetric_matrices(draw, max_n=9):
+    """Symmetric matrices with several distinct off-diagonal values per row,
+    and at least one zero row and one row with a single off-diagonal entry
+    (a one-column getter), at positions drawn like the rest."""
+    n = draw(st.integers(3, max_n))
+    values = st.sampled_from([0, 0, 0, -1, -1, 2, -3, 5])
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(values)
+    zero, single, partner = draw(st.permutations(range(n)))[:3]
+    for k in range(n):
+        m[zero][k] = m[k][zero] = 0
+        if k != single:
+            m[single][k] = m[k][single] = 0
+    m[single][partner] = m[partner][single] = draw(st.sampled_from([-1, 2, -3]))
+    return m
+
+
+class TestGatheredRows:
+    def test_rows_keep_the_diagonal_and_one_getter_per_value(self):
+        m = [[4, 2, 0, 2], [2, 0, 0, 0], [0, 0, 0, 0], [2, 0, 0, -7]]
+        rows = linalg._gather(m)
+        assert [diag for diag, _ in rows] == [4, 0, 0, -7]
+        assert [sorted(x for x, _ in terms) for _, terms in rows] == [[2], [2], [], [2]]
+        v = [10, 20, 30, 40]
+        ((_, get),) = rows[0][1]
+        assert list(get(v)) == [20, 40]
+        ((_, get),) = rows[1][1]  # one column: still a sequence, not an entry
+        assert list(get(v)) == [10]
+        assert linalg._apply(rows, v) == mat_vec(m, v)
+
+    def test_diagonal_value_also_off_the_diagonal(self):
+        m = [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+        assert linalg._gather(m)[0][0] == 1
+        assert linalg._apply(linalg._gather(m), [1, 2, 3]) == [6, 6, 6]
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=square_matrices(max_n=7, lo=-3, hi=3), data=st.data())
+    def test_apply_matches_mat_vec(self, m, data):
+        v = data.draw(st.lists(st.integers(-(10**30), 10**30), min_size=len(m), max_size=len(m)))
+        assert linalg._apply(linalg._gather(m), v) == mat_vec(m, v)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=sparse_symmetric_matrices())
+    def test_lanczos_matches_faddeev_leverrier(self, m):
+        cp, want = char_poly(m), faddeev_leverrier_charpoly(m)
+        assert cp == want
+        q = prod(moduli_used(cp))
+        res = linalg._lanczos_mod(m, q)
+        # Lanczos stops on a repeated eigenvalue (about one draw in six);
+        # whatever it returns must be exact
+        assert res is None or res == [x % q for x in want]
+
+    def test_zero_row_and_one_column_row_take_the_lanczos_pass(self):
+        m = [[0, 0, 0], [0, 2, -1], [0, -1, 3]]  # eigenvalues 0 and (5 +- sqrt 5)/2
+        q = prod(moduli_used(char_poly(m)))
+        assert linalg._lanczos_mod(m, q) == [x % q for x in faddeev_leverrier_charpoly(m)]
+
+
 class TestIsPrime:
     def test_matches_trial_division_below_20000(self):
         def trial(n):

@@ -26,7 +26,7 @@ from lapfam import (
     resolver_graph_iterative,
     verify_eigenpairs,
 )
-from lapfam import spectra
+from lapfam import linalg, spectra
 from lapfam.linalg import poly_eval
 from helpers import (
     adjacency_laplacian,
@@ -442,6 +442,58 @@ class TestEdgePartition:
         got = edge_partition_sums(c, x)
         assert got == fraction_edge_partition_sums(c, x)
         assert all(type(band) is Fraction for band in got)
+
+
+class TestMaskIdentities:
+    """L x and x^T L x read off the neighbourhood masks, against the dense forms."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=graphs(max_n=10), data=st.data())
+    def test_product_matches_dense_mat_vec(self, g, data):
+        x = data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=g.n, max_size=g.n))
+        assert linalg._apply(spectra._laplacian_rows(g), x) == linalg.mat_vec(laplacian(g), x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=graphs(max_n=10), data=st.data())
+    def test_quadratic_form_matches_rayleigh(self, g, data):
+        x = data.draw(
+            st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n).filter(any)
+        )
+        rows, edges = spectra._laplacian_rows(g), list(g.edges())
+        quad, norm2 = spectra._quadratic_form(rows, edges, x)
+        assert norm2 == sum(v * v for v in x)
+        assert Fraction(quad, norm2) == rayleigh(laplacian(g), x)
+
+    def test_isolated_vertex_row_is_its_zero_degree(self):
+        g = disjoint_union(Graph(1), Graph.path(2))
+        rows = spectra._laplacian_rows(g)
+        assert rows[0] == (0, ())
+        assert linalg._apply(rows, [7, 1, 4]) == [0, -3, 3]
+
+    def test_zero_vector_is_refused(self):
+        g = Graph.path(3)
+        with pytest.raises(ValueError, match="zero vector"):
+            spectra._quadratic_form(spectra._laplacian_rows(g), list(g.edges()), [0, 0, 0])
+
+    def test_routes_must_agree(self):
+        # rows of the path 0-1-2, edges of the path 0-2-1: x^T L x is 10, the edge sum 13
+        rows = spectra._laplacian_rows(Graph.path(3))
+        with pytest.raises(ArithmeticError, match="quadratic form 10 != edge sum 13"):
+            spectra._quadratic_form(rows, [(0, 2), (1, 2)], [1, 0, 3])
+
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_integer_band_sums_match_fraction_bands(self, c, data):
+        x = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=2 * c + 1, max_size=2 * c + 1))
+        assert spectra._band_sums(c, x) == fraction_edge_partition_sums(c, x)
+
+    @pytest.mark.parametrize("c", [1, 4, 8])
+    def test_eigenpairs_check_reads_the_member_it_is_given(self, c):
+        g = resolver_graph_indexed(c)
+        assert spectra._eigenpairs(g, c) == verify_eigenpairs(c)
+        with pytest.raises(VerificationError):  # G+(2, c) less one edge
+            spectra._eigenpairs(Graph(g.n, list(g.edges())[1:]), c)
 
 
 class TestGapSpectrum:

@@ -145,13 +145,15 @@ class TestFailurePaths:
         assert moved
 
     def test_wrong_quotient_is_named(self, monkeypatch):
-        real = spectra.rayleigh
+        # x^T L x one too large for c = 2, r = 3 (eigenvalue 1, x^T x = 12)
+        real = spectra._quadratic_form
         column = [row[3] for row in eigenvector_family(2)]
 
-        def skewed(lap, x):
-            return real(lap, x) + (list(x) == column)
+        def skewed(rows, edges, x):
+            quad, norm2 = real(rows, edges, x)
+            return quad + (list(x) == column), norm2
 
-        monkeypatch.setattr(verify_module, "rayleigh", skewed)
+        monkeypatch.setattr(verify_module, "_quadratic_form", skewed)
         report = run_verify(cmax=2, dmax=2)
         check = check_named(report, "rayleigh-identities")
         assert check.status == "fail"
@@ -255,8 +257,9 @@ class TestSharing:
     @pytest.mark.parametrize("cmax, dmax", [(8, 4), (1, 4), (2, 2)])
     def test_one_indexed_build_per_member(self, monkeypatch, cmax, dmax):
         # Seven checks read the banded-index G+(2, c) through the run's memo
-        # (41 builds at 8, 4 when each built its own); worked-example adds
-        # c = 3 at any cmax.
+        # (41 builds at 8, 4 when each built its own; 2 per member when
+        # eigenpairs built its own through spectra's binding); worked-example
+        # adds c = 3 at any cmax.  Every module's binding is spied.
         real = families.resolver_graph_indexed
         calls = Counter()
 
@@ -264,7 +267,11 @@ class TestSharing:
             calls[c] += 1
             return real(c)
 
-        monkeypatch.setattr(families, "resolver_graph_indexed", counted)
+        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "lapfam"]
+        bound = [m for m in bound if getattr(m, "resolver_graph_indexed", None) is real]
+        assert {families, spectra} <= set(bound)
+        for module in bound:
+            monkeypatch.setattr(module, "resolver_graph_indexed", counted)
         assert run_verify(cmax=cmax, dmax=dmax).ok
         assert set(calls.values()) == {1}
         assert set(calls) == {*range(1, cmax + 1), 3}
