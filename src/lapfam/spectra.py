@@ -16,8 +16,9 @@ The extended graph on 2c+1 vertices has Laplacian spectrum
 {0, 1, ..., 2c+1} \\ {c+1}, every eigenvalue simple, with closed-form
 integer eigenvectors falling into four classes indexed by r = 0..2c.
 Their identities read L x off the neighbourhood masks, in integers, as
-(L x)_v = deg(v) x_v minus the sum of x_u over N(v); the dense
-``laplacian`` and ``rayleigh`` stay as their oracles.
+(L x)_v = deg(v) x_v minus the sum of x_u over N(v), and x^T L x by the
+body ``rayleigh`` wraps; the dense ``laplacian`` and the tests'
+``fraction_rayleigh`` stay as their oracles.
 A graph on n vertices *realizes the gap spectrum at i* when its Laplacian
 spectrum is exactly {0..n} \\ {i} with every eigenvalue simple.
 """
@@ -164,12 +165,12 @@ def graph_spectrum(g: Graph) -> Spectrum:
     0 from each part, which is that part's shift; the count of every value
     ends non-negative.  A prime part's integer roots are counted at its
     shift, and the factor left is shifted to match.  ``moduli`` is the
-    number of primes ``char_poly`` would take for all of L.
+    number of primes ``char_poly`` takes, or would take, for all of L.
     """
     adj = [g.neighbor_mask(v) for v in range(g.n)]
     co = [~mask for mask in adj]  # the complement's neighbourhoods
     roots: Counter = Counter()
-    rest = [1]
+    rest, moduli = [1], None
     # (vertex set, shift, the neighbourhoods whose walk may split it): a
     # union's parts are connected and a join's parts co-connected, so only
     # the whole graph needs two walks.
@@ -184,7 +185,10 @@ def graph_spectrum(g: Graph) -> Spectrum:
             if len(parts := _parts(part, nbrs)) > 1:
                 break
         else:  # a prime part
-            found, left = _integer_roots(linalg.char_poly(_laplacian(adj, part)), size)
+            cp = linalg.char_poly(_laplacian(adj, part))
+            if size == g.n:  # all of L
+                moduli = cp.moduli
+            found, left = _integer_roots(cp, size)
             for lam, mult in found.items():
                 roots[shift + lam] += mult
             rest = linalg.poly_mul(_shifted(left, shift), rest)
@@ -204,10 +208,12 @@ def graph_spectrum(g: Graph) -> Spectrum:
         for _ in range(mult):
             cp = linalg.poly_mul(cp, (-lam, 1))
     assert len(cp) == g.n + 1  # every count taken back was added
-    # A Laplacian row of degree d > 0 has norm sqrt(d*d + d), whose ceiling
-    # d + 1 is the norm of the row [d + 1]; hadamard_bound reads only norms.
-    bound = linalg.hadamard_bound([[deg + 1] for deg in map(int.bit_count, adj) if deg])
-    return _spectrum(roots, rest, cp, linalg.prime_count(bound))
+    if moduli is None:
+        # A Laplacian row of degree d > 0 has norm sqrt(d*d + d), whose ceiling
+        # d + 1 is the norm of the row [d + 1]; hadamard_bound reads only norms.
+        bound = linalg.hadamard_bound([[deg + 1] for deg in map(int.bit_count, adj) if deg])
+        moduli = linalg.prime_count(bound)
+    return _spectrum(roots, rest, cp, moduli)
 
 
 def eigenvalue_of_class(c: int, r: int) -> int:
@@ -256,12 +262,12 @@ def _laplacian_rows(g: Graph) -> list[tuple]:
 def verify_eigenpairs(c: int) -> EigenpairReport:
     """Check L x = lambda x entrywise in integer arithmetic for every class,
     plus distinctness of the eigenvalues and full rank of the eigenvectors."""
-    return _eigenpairs(resolver_graph_indexed(c), c)
+    return _eigenpairs(_laplacian_rows(resolver_graph_indexed(c)), c)
 
 
-def _eigenpairs(g: Graph, c: int) -> EigenpairReport:
-    """``verify_eigenpairs(c)`` on g, the caller's banded-index G+(2, c)."""
-    rows, vecs, n = _laplacian_rows(g), eigenvector_family(c), g.n
+def _eigenpairs(rows: list[tuple], c: int) -> EigenpairReport:
+    """``verify_eigenpairs(c)`` on rows, the ``_laplacian_rows`` of G+(2, c)."""
+    vecs, n = eigenvector_family(c), len(rows)
     eigenvalues = [eigenvalue_of_class(c, r) for r in range(n)]
     for r, (x, lam) in enumerate(zip(zip(*vecs), eigenvalues)):
         for i, (y, v) in enumerate(zip(linalg._apply(rows, x), x)):
@@ -286,44 +292,33 @@ def _cleared(x: Sequence[int | Fraction]) -> tuple[list[int], int]:
 
 
 def rayleigh(lap: Sequence[Sequence[int]], x: Sequence[int | Fraction]) -> Fraction:
-    """Exact Rayleigh quotient (x^T L x) / (x^T x).
-
-    Also evaluated as sum over edges of (x_i - x_j)^2 divided by the square
-    norm; the two routes must agree exactly.  Both sums run in integers on
-    x scaled to clear its denominators, which leaves the quotient unchanged.
-    """
+    """Exact Rayleigh quotient (x^T L x) / (x^T x), x^T L x required to equal
+    the edge sum (``_quadratic_form``, an off-diagonal -w is an edge of
+    weight w), on x scaled to clear its denominators (quotient unchanged)."""
     n = len(lap)
     if len(x) != n:
         raise ValueError(f"vector length {len(x)} != {n}")
-    xs, scale = _cleared(x)
-    norm2 = sum(v * v for v in xs)
+    if any(len(row) != n for row in lap):
+        raise ValueError("dimension mismatch")
+    edges = [(i, j, -row[j]) for i, row in enumerate(lap) for j in range(i + 1, n) if row[j]]
+    return Fraction(*_quadratic_form(linalg._gather(lap), edges, *_cleared(x)))
+
+
+def _quadratic_form(rows: list, edges: list, x: Sequence[int], scale: int = 1) -> tuple[int, int]:
+    """(x^T L x, x^T x) for a non-zero integer x and L gathered into rows
+    (``linalg._gather`` form), with x^T L x required to equal the edge sum
+    of w (x_u - x_v)^2 over L's (u, v, w) edges.  A mismatch is reported
+    divided by scale^2, for x cleared of denominators by ``scale``."""
+    norm2 = sum(map(mul, x, x))
     if norm2 == 0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    quad = sum(map(mul, xs, linalg.mat_vec(lap, xs)))
-    edge_sum = sum(
-        -a * (xi - xj) ** 2
-        for i, (xi, row) in enumerate(zip(xs, lap))
-        for a, xj in zip(row[i + 1 :], xs[i + 1 :])
-        if a
-    )
+    quad = sum(map(mul, x, linalg._apply(rows, x)))
+    edge_sum = sum(w * (x[u] - x[v]) ** 2 for u, v, w in edges)
     if quad != edge_sum:
         sq = scale * scale
         raise ArithmeticError(
             f"quadratic form {Fraction(quad, sq)} != edge sum {Fraction(edge_sum, sq)}"
         )
-    return Fraction(quad, norm2)
-
-
-def _quadratic_form(rows: list, edges: list, x: Sequence[int]) -> tuple[int, int]:
-    """(x^T L x, x^T x) for a non-zero integer x and L in ``_laplacian_rows``
-    form; x^T L x must equal the edge sum, as in ``rayleigh``."""
-    norm2 = sum(map(mul, x, x))
-    if norm2 == 0:
-        raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    quad = sum(map(mul, x, linalg._apply(rows, x)))
-    edge_sum = sum((x[u] - x[v]) ** 2 for u, v in edges)
-    if quad != edge_sum:
-        raise ArithmeticError(f"quadratic form {quad} != edge sum {edge_sum}")
     return quad, norm2
 
 

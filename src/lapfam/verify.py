@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import accumulate
 from operator import and_, getitem, sub
 from typing import Callable
 
@@ -129,11 +130,12 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
     if cmax < 1 or dmax < 1:
         raise ValueError(f"cmax and dmax must be positive: {cmax}, {dmax}")
     checks: list[Check] = []
-    # One build per family member per run, so the checks share each graph
-    # and its BFS levels; nothing outlives the call.
+    # One build per family member per run, so the checks share each graph,
+    # its BFS levels and G+(2, c)'s Laplacian rows; nothing outlives the call.
     combination_graph = cache(families.combination_graph)
     resolver_graph = cache(lambda d, c: families._with_resolvers(combination_graph(d, c), c))
     resolver_graph_indexed = cache(families.resolver_graph_indexed)
+    laplacian_rows = cache(lambda c: _laplacian_rows(resolver_graph_indexed(c)))
 
     def run(name: str, fn: Callable[[], str], status: str = "pass") -> None:
         start = time.perf_counter()
@@ -210,10 +212,14 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         return "alphabet-1 extended graphs are stars; diameter 2 (or 1), not d"
 
     def construction_agreement() -> str:
-        for c in range(1, cmax + 1):
+        # resolver_graph_iterative(c) is one step from resolver_graph_iterative(c - 1)
+        chain = accumulate(
+            range(cmax - 1), lambda g, _: resolver_graph_step(g), initial=resolver_graph_iterative(1)
+        )
+        for c, grown in enumerate(chain, 1):
             direct = aligned(resolver_graph(2, c))
             indexed = resolver_graph_indexed(c)
-            iterative = aligned(resolver_graph_iterative(c))
+            iterative = aligned(grown)
             _require(direct.labels == indexed.labels, f"direct labels c={c}")
             _require(iterative.labels == indexed.labels, f"iterative labels c={c}")
             _require(are_adjacency_equal(direct, indexed), f"direct adjacency c={c}")
@@ -244,7 +250,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         raise AssertionError("disjoint-union variant is unexpectedly connected")
 
     def eigenpairs() -> str:
-        orders = [_eigenpairs(resolver_graph_indexed(c), c).n for c in range(1, cmax + 1)]
+        orders = [_eigenpairs(laplacian_rows(c), c).n for c in range(1, cmax + 1)]
         return f"exact eigenpairs and full-rank bases for n in {orders}"
 
     def spectrum_gap() -> str:
@@ -263,8 +269,8 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
 
     def rayleigh_identities() -> str:
         for c in range(1, cmax + 1):
-            g = resolver_graph_indexed(c)
-            rows, edges = _laplacian_rows(g), list(g.edges())
+            rows = laplacian_rows(c)
+            edges = [(u, v, 1) for u, v in resolver_graph_indexed(c).edges()]
             for r, x in enumerate(zip(*eigenvector_family(c))):
                 lam = eigenvalue_of_class(c, r)
                 quad, norm2 = _quadratic_form(rows, edges, x)
@@ -287,8 +293,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
 
     def kernel_support() -> str:
         for c in range(1, cmax + 1):
-            rows = _laplacian_rows(resolver_graph_indexed(c))
-            _require(any(_apply(rows, [1] * (2 * c) + [0])), f"truncated vector c={c}")
+            _require(any(_apply(laplacian_rows(c), [1] * (2 * c) + [0])), f"truncated vector c={c}")
         return (
             "kernel is spanned by the constant vector on all 2c+1 vertices; "
             "a vector constant on all but one vertex is not in it"

@@ -166,6 +166,14 @@ class TestIterativeConstruction:
                 aligned(resolver_graph_iterative(c)), aligned(resolver_graph(2, c))
             )
 
+    def test_each_member_is_one_step_from_the_last(self):
+        # run_verify grows one chain of steps for every c on this identity
+        grown = resolver_graph_iterative(1)
+        for c in range(2, 9):
+            grown = resolver_graph_step(grown)
+            g = resolver_graph_iterative(c)
+            assert (g.labels, masks(g)) == (grown.labels, masks(grown))
+
     def test_step_validates_labeling(self):
         with pytest.raises(ValueError):
             resolver_graph_step(Graph.path(3))  # unlabeled

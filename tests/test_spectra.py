@@ -273,6 +273,15 @@ class TestGraphSpectrum:
         graph_spectrum(g)
         assert orders == [g.n]
 
+    def test_one_hadamard_bound_for_a_prime_graph(self, monkeypatch):
+        # moduli is read off the whole graph's char_poly, not bounded again
+        g = resolver_graph(3, 3)
+        real, calls = linalg.hadamard_bound, []
+        monkeypatch.setattr(linalg, "hadamard_bound", lambda a: calls.append(len(a)) or real(a))
+        spec = graph_spectrum(g)
+        assert calls == [g.n]
+        assert spec == integral_spectrum(laplacian(g))
+
     def test_large_gap_member(self):
         g = resolver_graph(2, 128)
         spec = graph_spectrum(g)
@@ -371,12 +380,23 @@ class TestRayleigh:
         assert rayleigh(lap, (Fraction(1, 2), Fraction(-1, 2))) == 2
 
     def test_zero_vector(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^Rayleigh quotient of the zero vector is undefined$"):
             rayleigh(laplacian(Graph.complete(2)), (0, 0))
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^vector length 1 != 2$"):
             rayleigh(laplacian(Graph.complete(2)), (1,))
+
+    @pytest.mark.parametrize("first", [[1, -1, 0], [1]])
+    def test_first_row_length_mismatch(self, first):
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            rayleigh([first, [-1, 1]], (1, 2))
+
+    @pytest.mark.parametrize("second", [[-1, 1, 5], [-1]])
+    def test_later_row_length_mismatch(self, second):
+        # the dense product read only the first row's length; gathered rows need all
+        with pytest.raises(ValueError, match="^dimension mismatch$"):
+            rayleigh([[1, -1], second], (1, 2))
 
     def test_top_eigenvector_c3(self):
         lap = laplacian(resolver_graph_indexed(3))
@@ -414,6 +434,21 @@ class TestRayleigh:
             st.lists(rationals, min_size=g.n, max_size=g.n).filter(lambda v: any(v))
         )
         lap = laplacian(g)
+        assert rayleigh(lap, x) == fraction_rayleigh(lap, x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=graphs(max_n=8), data=st.data())
+    def test_weighted_laplacian_matches_fraction_oracle(self, g, data):
+        # several off-diagonal values per row: one gathered getter each
+        lap = [[0] * g.n for _ in range(g.n)]
+        for u, v in g.edges():
+            w = data.draw(st.integers(1, 3))
+            lap[u][v] = lap[v][u] = -w
+            lap[u][u] += w
+            lap[v][v] += w
+        x = data.draw(
+            st.lists(rationals, min_size=g.n, max_size=g.n).filter(lambda v: any(v))
+        )
         assert rayleigh(lap, x) == fraction_rayleigh(lap, x)
 
 
@@ -459,10 +494,10 @@ class TestMaskIdentities:
         x = data.draw(
             st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n).filter(any)
         )
-        rows, edges = spectra._laplacian_rows(g), list(g.edges())
+        rows, edges = spectra._laplacian_rows(g), [(u, v, 1) for u, v in g.edges()]
         quad, norm2 = spectra._quadratic_form(rows, edges, x)
         assert norm2 == sum(v * v for v in x)
-        assert Fraction(quad, norm2) == rayleigh(laplacian(g), x)
+        assert Fraction(quad, norm2) == fraction_rayleigh(laplacian(g), x)
 
     def test_isolated_vertex_row_is_its_zero_degree(self):
         g = disjoint_union(Graph(1), Graph.path(2))
@@ -473,13 +508,13 @@ class TestMaskIdentities:
     def test_zero_vector_is_refused(self):
         g = Graph.path(3)
         with pytest.raises(ValueError, match="zero vector"):
-            spectra._quadratic_form(spectra._laplacian_rows(g), list(g.edges()), [0, 0, 0])
+            spectra._quadratic_form(spectra._laplacian_rows(g), [(0, 1, 1), (1, 2, 1)], [0, 0, 0])
 
     def test_routes_must_agree(self):
         # rows of the path 0-1-2, edges of the path 0-2-1: x^T L x is 10, the edge sum 13
         rows = spectra._laplacian_rows(Graph.path(3))
         with pytest.raises(ArithmeticError, match="quadratic form 10 != edge sum 13"):
-            spectra._quadratic_form(rows, [(0, 2), (1, 2)], [1, 0, 3])
+            spectra._quadratic_form(rows, [(0, 2, 1), (1, 2, 1)], [1, 0, 3])
 
     @pytest.mark.parametrize("c", [1, 2, 5])
     @settings(max_examples=30, deadline=None)
@@ -491,9 +526,9 @@ class TestMaskIdentities:
     @pytest.mark.parametrize("c", [1, 4, 8])
     def test_eigenpairs_check_reads_the_member_it_is_given(self, c):
         g = resolver_graph_indexed(c)
-        assert spectra._eigenpairs(g, c) == verify_eigenpairs(c)
+        assert spectra._eigenpairs(spectra._laplacian_rows(g), c) == verify_eigenpairs(c)
         with pytest.raises(VerificationError):  # G+(2, c) less one edge
-            spectra._eigenpairs(Graph(g.n, list(g.edges())[1:]), c)
+            spectra._eigenpairs(spectra._laplacian_rows(Graph(g.n, list(g.edges())[1:])), c)
 
 
 class TestGapSpectrum:

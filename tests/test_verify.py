@@ -276,6 +276,41 @@ class TestSharing:
         assert set(calls.values()) == {1}
         assert set(calls) == {*range(1, cmax + 1), 3}
 
+    def test_one_growth_chain(self, monkeypatch):
+        # construction-agreement and step-recursion take 7 steps each at
+        # cmax 8 (35 when every iterative member was regrown from c = 1)
+        real = families.resolver_graph_step
+        calls = Counter()
+
+        def counted(prev):
+            calls[prev.n] += 1
+            return real(prev)
+
+        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "lapfam"]
+        bound = [m for m in bound if getattr(m, "resolver_graph_step", None) is real]
+        assert {families, verify_module} <= set(bound)
+        for module in bound:
+            monkeypatch.setattr(module, "resolver_graph_step", counted)
+        assert run_verify(cmax=8, dmax=2).ok
+        assert sum(calls.values()) == 14
+        assert calls == {n: 2 for n in range(3, 17, 2)}
+
+    @pytest.mark.parametrize("cmax, dmax", [(8, 4), (1, 4), (2, 2)])
+    def test_one_row_set_per_member(self, monkeypatch, cmax, dmax):
+        # eigenpairs, rayleigh-identities and kernel-support share each
+        # G+(2, c)'s Laplacian rows (3 builds per member when each built its own)
+        real = spectra._laplacian_rows
+        calls = Counter()
+
+        def counted(g):
+            calls[g.n] += 1
+            return real(g)
+
+        monkeypatch.setattr(spectra, "_laplacian_rows", counted)
+        monkeypatch.setattr(verify_module, "_laplacian_rows", counted)
+        assert run_verify(cmax=cmax, dmax=dmax).ok
+        assert calls == {2 * c + 1: 1 for c in range(1, cmax + 1)}
+
     def test_one_char_poly_per_matrix_per_check(self, monkeypatch):
         # Only the 4 prime large-alphabet members take a pass: the gap
         # spectra and the chain's graphs are cographs (20 passes when every
