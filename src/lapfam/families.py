@@ -14,8 +14,11 @@ used for cross-validation: an explicit banded edge list on 2c+1 vertices
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import comb
+from operator import and_, getitem
+from typing import Sequence
 
 from .graphs import Combination, Graph, Label, Resolver, disjoint_union, join, permuted
 
@@ -41,24 +44,26 @@ def expected_orders(d: int, c: int) -> tuple[int, int]:
 def combination_graph(d: int, c: int) -> Graph:
     """Base family member: labels in lexicographic order, edges by |x_i - y_i| <= 1.
 
-    Built from bitsets: near[k][t] holds the vertices whose k-th entry lies
-    within 1 of t, so a vertex's neighbourhood is the AND of its c masks,
-    O(n*c) big-int operations instead of O(n^2*c) label comparisons.
+    A vertex's neighbourhood is the AND of its c masks "entry i within 1 of
+    t" (``_near``) less itself: O(n*c) big-int operations, not O(n^2*c).
     """
     labels = combination_labels(d, c)
-    near = [[0] * (d + 2) for _ in range(c)]
-    for v, label in enumerate(labels):
-        for k, t in enumerate(label.seq):
-            near[k][t - 1] |= 1 << v
-            near[k][t] |= 1 << v
-            near[k][t + 1] |= 1 << v
-    masks = []
-    for v, label in enumerate(labels):
-        mask = ~(1 << v)  # every vertex but v
-        for k, t in enumerate(label.seq):
-            mask &= near[k][t]
-        masks.append(mask)
+    (near,) = _near(labels, d, [1])
+    masks = [reduce(and_, map(getitem, near, lab.seq)) & ~(1 << v) for v, lab in enumerate(labels)]
     return Graph._from_masks(masks, labels)
+
+
+def _near(labels: Sequence[Combination], d: int, radii: Sequence[int]) -> list[list[list[int]]]:
+    """One near[i][t] per radius k in ``radii``: the vertices whose entry i lies
+    within k of t (t = 0..d), a sum of the disjoint masks "entry i is s"."""
+    exact = [[0] * (d + 1) for _ in labels[0].seq]
+    for v, label in enumerate(labels):
+        for i, t in enumerate(label.seq):
+            exact[i][t] |= 1 << v
+    return [
+        [[sum(row[max(t - k, 1) : t + k + 1]) for t in range(d + 1)] for row in exact]
+        for k in radii
+    ]
 
 
 def resolver_graph(d: int, c: int) -> Graph:

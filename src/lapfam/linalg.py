@@ -7,7 +7,8 @@ lift: Lanczos' three-term recurrence (Lanczos, J. Res. Nat. Bur. Standards
 entry and one getter per distinct off-diagonal value (``_gather``), and
 Hessenberg reduction (Cohen, "A Course in Computational Algebraic Number
 Theory", Alg. 2.2.9) for any other matrix or a Lanczos breakdown.  ``rank``
-is Bareiss fraction-free elimination, every division exact (asserted).
+is Bareiss fraction-free elimination, every division exact (asserted): the
+public oracle of ``verify_eigenpairs``' rank, counted with no elimination.
 ``mat_vec`` is the dense product, the gathered product's test oracle.
 """
 

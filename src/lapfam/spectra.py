@@ -218,6 +218,8 @@ def graph_spectrum(g: Graph) -> Spectrum:
 
 def eigenvalue_of_class(c: int, r: int) -> int:
     """Eigenvalue attached to eigenvector index r of the 2c+1 family member."""
+    if c < 1:
+        raise ValueError(f"c must be positive: {c}")
     if not 0 <= r <= 2 * c:
         raise ValueError(f"r={r} out of range 0..{2 * c}")
     if r < c:
@@ -267,15 +269,16 @@ def verify_eigenpairs(c: int) -> EigenpairReport:
 
 def _eigenpairs(rows: list[tuple], c: int) -> EigenpairReport:
     """``verify_eigenpairs(c)`` on rows, the ``_laplacian_rows`` of G+(2, c)."""
-    vecs, n = eigenvector_family(c), len(rows)
+    cols, n = list(zip(*eigenvector_family(c))), len(rows)
     eigenvalues = [eigenvalue_of_class(c, r) for r in range(n)]
-    for r, (x, lam) in enumerate(zip(zip(*vecs), eigenvalues)):
+    for r, (x, lam) in enumerate(zip(cols, eigenvalues)):
         for i, (y, v) in enumerate(zip(linalg._apply(rows, x), x)):
             if y != lam * v:
                 raise VerificationError(r, i, f"(L x)[{i}] = {y} != {lam} * {v} for column {r}")
     if len(set(eigenvalues)) != n:
         raise VerificationError(-1, -1, f"eigenvalues not pairwise distinct: {eigenvalues}")
-    rk = linalg.rank(vecs)
+    # eigenvectors of distinct eigenvalues, both checked above, are independent if non-zero
+    rk = sum(map(any, cols))
     if rk != n:
         raise VerificationError(-1, -1, f"eigenvector matrix rank {rk} != {n}")
     return EigenpairReport(c=c, n=n, eigenvalues=tuple(eigenvalues), rank=rk)
@@ -329,6 +332,8 @@ def edge_partition_sums(c: int, x: Sequence[int | Fraction]) -> list[Fraction]:
     h+1..2c+2-h, so N_h = sum over that range of (x_h - x_j)^2.  The band
     sums total x^T L x for the indexed construction's Laplacian.
     """
+    if c < 1:
+        raise ValueError(f"c must be positive: {c}")
     n = 2 * c + 1
     if len(x) != n:
         raise ValueError(f"vector length {len(x)} != {n}")

@@ -142,11 +142,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         try:
             details = fn()
         except Exception as exc:
-            checks.append(
-                Check(name, "fail", f"{type(exc).__name__}: {exc}",
-                      time.perf_counter() - start)
-            )
-            return
+            status, details = "fail", f"{type(exc).__name__}: {exc}"
         checks.append(Check(name, status, details, time.perf_counter() - start))
 
     def order_formula() -> str:
@@ -166,14 +162,7 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
             for c in range(1, cmax + 1):
                 g = combination_graph(d, c)
                 labels = g.labels
-                exact = [[0] * (d + 1) for _ in range(c)]  # entry i equal to t
-                for v, label in enumerate(labels):
-                    for i, t in enumerate(label.seq):
-                        exact[i][t] |= 1 << v
-                near = [  # sums of disjoint masks, so ORs
-                    [[sum(row[max(t - k, 1) : t + k + 1]) for t in range(d + 1)] for row in exact]
-                    for k in range(d)
-                ]
+                near = families._near(labels, d, range(d))
                 for u, levels in enumerate(g.levels()):
                     ball = wrong = 0  # wrong: the vertices at a wrong distance from u
                     for k in range(d):

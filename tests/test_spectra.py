@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 from functools import cache
 
@@ -33,6 +35,7 @@ from helpers import (
     component_count,
     connected_graphs,
     fraction_edge_partition_sums,
+    fraction_rank,
     fraction_rayleigh,
     graphs,
     nullity_sweep_spectrum,
@@ -335,6 +338,8 @@ class TestClosedFormEigenpairs:
             eigenvalue_of_class(2, -1)
         with pytest.raises(ValueError):
             eigenvalue_of_class(2, 5)
+        with pytest.raises(ValueError, match="^c must be positive: 0$"):
+            eigenvalue_of_class(0, 0)
 
     def test_family_c1(self):
         assert eigenvector_family(1) == [[-2, 0, 1], [1, -1, 1], [1, 1, 1]]
@@ -360,6 +365,23 @@ class TestClosedFormEigenpairs:
         assert report.eigenvalues == tuple(
             eigenvalue_of_class(c, r) for r in range(report.n)
         )
+
+    @pytest.mark.parametrize("c", range(1, 13))
+    def test_rank_matches_elimination(self, monkeypatch, c):
+        # The reported (or raised) rank of a basis with 0-3 columns zeroed
+        # equals the Bareiss rank and the Fraction rank.
+        n, rng = 2 * c + 1, random.Random(c)
+        rows = spectra._laplacian_rows(resolver_graph_indexed(c))
+        family = eigenvector_family(c)
+        for k in range(4):
+            zero = set(rng.sample(range(n), k))
+            basis = [[0 if r in zero else v for r, v in enumerate(row)] for row in family]
+            monkeypatch.setattr(spectra, "eigenvector_family", lambda _: basis)
+            try:
+                rank = spectra._eigenpairs(rows, c).rank
+            except VerificationError as exc:
+                rank = int(re.fullmatch(rf"eigenvector matrix rank (\d+) != {n}", str(exc))[1])
+            assert rank == linalg.rank(basis) == fraction_rank(basis) == n - k
 
     def test_verification_error_pinpoints_class(self, monkeypatch):
         monkeypatch.setattr(spectra, "eigenvalue_of_class", lambda c, r: 99)
@@ -456,6 +478,11 @@ class TestEdgePartition:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             edge_partition_sums(2, (1, 2, 3))
+
+    def test_rejects_nonpositive(self):
+        # G+(2, 0) would have one vertex and no bands; there is no such member
+        with pytest.raises(ValueError, match="^c must be positive: 0$"):
+            edge_partition_sums(0, [5])
 
     @pytest.mark.parametrize("c", [1, 2, 3])
     @settings(max_examples=25, deadline=None)

@@ -204,9 +204,15 @@ class TestFailurePaths:
         assert check.details == details
 
     def test_rank_deficient_basis_fails_eigenpairs(self, monkeypatch):
-        # verify_eigenpairs raises on a short rank; the battery reports it
-        real = linalg.rank
-        monkeypatch.setattr(linalg, "rank", lambda a: real(a) - 1)
+        # A zero column 0 at c = 1 still passes L x = lambda x, but leaves
+        # rank 2; verify_eigenpairs raises on it and the battery reports it.
+        real = spectra.eigenvector_family
+
+        def zeroed(c):
+            return [[0, *row[1:]] if c == 1 else row for row in real(c)]
+
+        assert linalg.rank(zeroed(1)) == 2
+        monkeypatch.setattr(spectra, "eigenvector_family", zeroed)
         report = run_verify(cmax=2, dmax=1)
         check = check_named(report, "eigenpairs")
         assert check.status == "fail"
@@ -310,6 +316,20 @@ class TestSharing:
         monkeypatch.setattr(verify_module, "_laplacian_rows", counted)
         assert run_verify(cmax=cmax, dmax=dmax).ok
         assert calls == {2 * c + 1: 1 for c in range(1, cmax + 1)}
+
+    def test_no_elimination_for_full_rank(self, monkeypatch):
+        # Full rank is the count of non-zero eigenvectors; the Bareiss rank
+        # (one call per member, 8 at cmax 8) is left to the tests as oracle.
+        calls = []
+        real = linalg.rank
+        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "lapfam"]
+        bound = [m for m in bound if getattr(m, "rank", None) is real]
+        assert linalg in bound
+        for module in bound:
+            monkeypatch.setattr(module, "rank", lambda a: calls.append(len(a)) or real(a))
+        assert run_verify(cmax=8, dmax=2).ok
+        assert spectra.verify_eigenpairs(5).rank == 11
+        assert calls == []
 
     def test_one_char_poly_per_matrix_per_check(self, monkeypatch):
         # Only the 4 prime large-alphabet members take a pass: the gap
