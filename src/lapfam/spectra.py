@@ -17,7 +17,9 @@ The extended graph on 2c+1 vertices has Laplacian spectrum
 integer eigenvectors falling into four classes indexed by r = 0..2c.
 Their identities read L x off the neighbourhood masks, in integers, as
 (L x)_v = deg(v) x_v minus the sum of x_u over N(v), and x^T L x by the
-body ``rayleigh`` wraps; the dense ``laplacian`` and the tests'
+body of ``rayleigh``, which alone checks it against the weighted edge sum;
+``verify`` holds it to lambda |x|^2 and to the band total, the indexed
+member's edge sum term by term.  The dense ``laplacian`` and the tests'
 ``fraction_rayleigh`` stay as their oracles.
 A graph on n vertices *realizes the gap spectrum at i* when its Laplacian
 spectrum is exactly {0..n} \\ {i} with every eigenvalue simple.
@@ -296,33 +298,32 @@ def _cleared(x: Sequence[int | Fraction]) -> tuple[list[int], int]:
 
 def rayleigh(lap: Sequence[Sequence[int]], x: Sequence[int | Fraction]) -> Fraction:
     """Exact Rayleigh quotient (x^T L x) / (x^T x), x^T L x required to equal
-    the edge sum (``_quadratic_form``, an off-diagonal -w is an edge of
-    weight w), on x scaled to clear its denominators (quotient unchanged)."""
+    the weighted edge sum of w (x_u - x_v)^2, an off-diagonal -w being an
+    edge of weight w, on x scaled to clear its denominators (quotient unchanged)."""
     n = len(lap)
     if len(x) != n:
         raise ValueError(f"vector length {len(x)} != {n}")
     if any(len(row) != n for row in lap):
         raise ValueError("dimension mismatch")
-    edges = [(i, j, -row[j]) for i, row in enumerate(lap) for j in range(i + 1, n) if row[j]]
-    return Fraction(*_quadratic_form(linalg._gather(lap), edges, *_cleared(x)))
+    xs, scale = _cleared(x)
+    quad, norm2 = _quadratic_form(linalg._gather(lap), xs)
+    edge_sum = sum(
+        -w * (xs[i] - xs[j]) ** 2
+        for i, row in enumerate(lap) for j, w in enumerate(row[i + 1 :], i + 1) if w
+    )
+    if quad != edge_sum:
+        quad, edge_sum = Fraction(quad, scale * scale), Fraction(edge_sum, scale * scale)
+        raise ArithmeticError(f"quadratic form {quad} != edge sum {edge_sum}")
+    return Fraction(quad, norm2)
 
 
-def _quadratic_form(rows: list, edges: list, x: Sequence[int], scale: int = 1) -> tuple[int, int]:
-    """(x^T L x, x^T x) for a non-zero integer x and L gathered into rows
-    (``linalg._gather`` form), with x^T L x required to equal the edge sum
-    of w (x_u - x_v)^2 over L's (u, v, w) edges.  A mismatch is reported
-    divided by scale^2, for x cleared of denominators by ``scale``."""
+def _quadratic_form(rows: list, x: Sequence[int]) -> tuple[int, int]:
+    """(x^T L x, x^T x) for a non-zero integer x, L in ``linalg._gather`` rows; each
+    caller checks x^T L x against its own sum (``rayleigh``: edges, ``verify``: bands)."""
     norm2 = sum(map(mul, x, x))
     if norm2 == 0:
         raise ValueError("Rayleigh quotient of the zero vector is undefined")
-    quad = sum(map(mul, x, linalg._apply(rows, x)))
-    edge_sum = sum(w * (x[u] - x[v]) ** 2 for u, v, w in edges)
-    if quad != edge_sum:
-        sq = scale * scale
-        raise ArithmeticError(
-            f"quadratic form {Fraction(quad, sq)} != edge sum {Fraction(edge_sum, sq)}"
-        )
-    return quad, norm2
+    return sum(map(mul, x, linalg._apply(rows, x))), norm2
 
 
 def edge_partition_sums(c: int, x: Sequence[int | Fraction]) -> list[Fraction]:

@@ -445,6 +445,13 @@ class TestRayleigh:
         with pytest.raises(ArithmeticError, match="quadratic form 2 != edge sum 0"):
             rayleigh([[1, 0], [0, 1]], (1, 1))
 
+    def test_routes_must_agree(self):
+        # the path 0-1-2 with its first diagonal entry one too large:
+        # x^T L x is 11, the edge sum of its off-diagonal entries 10
+        lap = [[2, -1, 0], [-1, 2, -1], [0, -1, 1]]
+        with pytest.raises(ArithmeticError, match="quadratic form 11 != edge sum 10"):
+            rayleigh(lap, [1, 0, 3])
+
     def test_disagreement_reported_unscaled(self):
         with pytest.raises(ArithmeticError, match="quadratic form 1/2 != edge sum 0"):
             rayleigh([[1, 0], [0, 1]], (Fraction(1, 2), Fraction(1, 2)))
@@ -521,8 +528,7 @@ class TestMaskIdentities:
         x = data.draw(
             st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n).filter(any)
         )
-        rows, edges = spectra._laplacian_rows(g), [(u, v, 1) for u, v in g.edges()]
-        quad, norm2 = spectra._quadratic_form(rows, edges, x)
+        quad, norm2 = spectra._quadratic_form(spectra._laplacian_rows(g), x)
         assert norm2 == sum(v * v for v in x)
         assert Fraction(quad, norm2) == fraction_rayleigh(laplacian(g), x)
 
@@ -535,13 +541,7 @@ class TestMaskIdentities:
     def test_zero_vector_is_refused(self):
         g = Graph.path(3)
         with pytest.raises(ValueError, match="zero vector"):
-            spectra._quadratic_form(spectra._laplacian_rows(g), [(0, 1, 1), (1, 2, 1)], [0, 0, 0])
-
-    def test_routes_must_agree(self):
-        # rows of the path 0-1-2, edges of the path 0-2-1: x^T L x is 10, the edge sum 13
-        rows = spectra._laplacian_rows(Graph.path(3))
-        with pytest.raises(ArithmeticError, match="quadratic form 10 != edge sum 13"):
-            spectra._quadratic_form(rows, [(0, 2, 1), (1, 2, 1)], [1, 0, 3])
+            spectra._quadratic_form(spectra._laplacian_rows(g), [0, 0, 0])
 
     @pytest.mark.parametrize("c", [1, 2, 5])
     @settings(max_examples=30, deadline=None)

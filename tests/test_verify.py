@@ -149,8 +149,8 @@ class TestFailurePaths:
         real = spectra._quadratic_form
         column = [row[3] for row in eigenvector_family(2)]
 
-        def skewed(rows, edges, x):
-            quad, norm2 = real(rows, edges, x)
+        def skewed(rows, x):
+            quad, norm2 = real(rows, x)
             return quad + (list(x) == column), norm2
 
         monkeypatch.setattr(verify_module, "_quadratic_form", skewed)
@@ -159,6 +159,24 @@ class TestFailurePaths:
         assert check.status == "fail"
         assert check.details == "AssertionError: quotient c=2 r=3"
         assert not report.ok
+
+    def test_wrong_band_total_is_named(self, monkeypatch):
+        # band 1 one too large for c = 2, r = 3: the band total reads 13, not 12
+        real = spectra._band_sums
+        column = [row[3] for row in eigenvector_family(2)]
+
+        def skewed(c, x):
+            bands = real(c, x)
+            bands[0] += list(x) == column
+            return bands
+
+        monkeypatch.setattr(verify_module, "_band_sums", skewed)
+        report = run_verify(cmax=2, dmax=2)
+        check = check_named(report, "rayleigh-identities")
+        assert check.details == (
+            "AssertionError: band total c=2 r=3: [Fraction(12, 1), Fraction(0, 1)]"
+        )
+        assert [c.name for c in report.checks if c.status == "fail"] == ["rayleigh-identities"]
 
     def test_wrong_spectrum_fails_gap(self, monkeypatch):
         # c = 2 has spectrum {5, 4, 2, 1, 0}; report 3 in place of 2
@@ -330,6 +348,25 @@ class TestSharing:
         assert run_verify(cmax=8, dmax=2).ok
         assert spectra.verify_eigenpairs(5).rank == 11
         assert calls == []
+
+    def test_rayleigh_identities_walk_no_edge_list(self, monkeypatch):
+        # x^T L x is held to the band sums, which are the indexed member's
+        # edges term by term (one g.edges() walk per c when it was also
+        # held to an edge sum over them)
+        real = Graph.edges
+        calls = Counter()
+
+        def counted(g):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] != verify_module.__name__:
+                frame = frame.f_back
+            calls[frame.f_code.co_name] += 1
+            return real(g)
+
+        monkeypatch.setattr(Graph, "edges", counted)
+        assert run_verify(cmax=8, dmax=2).ok
+        assert calls
+        assert "rayleigh_identities" not in calls
 
     def test_one_char_poly_per_matrix_per_check(self, monkeypatch):
         # Only the 4 prime large-alphabet members take a pass: the gap
