@@ -18,12 +18,14 @@ survives serialization.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import Callable, NoReturn, Sequence
 
 from .families import (
     combination_graph,
@@ -244,24 +246,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="lapfam",
-        description="Exact spectra and resolving sets of combination graphs.",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="reserved; ignored")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="emit a family member")
+def _gen_arguments(gen: argparse.ArgumentParser) -> None:
     gen.add_argument("spec", help="family spec, e.g. g:4,3 or gplus:2,3:indexed")
     gen.add_argument("--format", choices=tuple(_WRITERS), default="graph6")
     gen.add_argument("--out", default=None, help="output file (default stdout)")
 
-    spectrum = sub.add_parser("spectrum", help="exact Laplacian spectrum report")
+
+def _spectrum_arguments(spectrum: argparse.ArgumentParser) -> None:
     spectrum.add_argument("input", help="family spec or graph file")
     spectrum.add_argument("--out", default=None)
 
-    dimension = sub.add_parser("dimension", help="smallest resolving set, by exact search")
+
+def _dimension_arguments(dimension: argparse.ArgumentParser) -> None:
     dimension.add_argument("input", help="family spec or graph file")
     dimension.add_argument("--kind", choices=_KINDS, default="outer")
     dimension.add_argument("--max-size", type=int, default=None)
@@ -272,17 +268,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dimension.add_argument("--out", default=None)
 
-    verify = sub.add_parser("verify", help="run the self-check battery")
+
+def _verify_arguments(verify: argparse.ArgumentParser) -> None:
     verify.add_argument("--cmax", type=int, default=8)
     verify.add_argument("--dmax", type=int, default=4)
     verify.add_argument("--json", action="store_true")
 
+
+# subcommand -> (help line, adds its arguments), in the order help lists them
+_COMMANDS = {
+    "gen": ("emit a family member", _gen_arguments),
+    "spectrum": ("exact Laplacian spectrum report", _spectrum_arguments),
+    "dimension": ("smallest resolving set, by exact search", _dimension_arguments),
+    "verify": ("run the self-check battery", _verify_arguments),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for one call's argument list.
+
+    Only a subcommand whose name is a token of ``argv`` gets its arguments:
+    argparse dispatches to a subparser by exact name, so no other one can
+    run, and the rest are bare names that keep the top-level help, usage and
+    choice errors whole.  ``build_parser(_COMMANDS)`` is the full parser.
+    The terminal width is read once, as the columns - 2 each argparse
+    formatter would otherwise query for itself."""
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
+    parser = _Parser(
+        prog="lapfam",
+        description="Exact spectra and resolving sets of combination graphs.",
+        formatter_class=formatter,
+    )
+    parser.add_argument("--seed", type=int, default=None, help="reserved; ignored")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        if name in named:
+            add_arguments(sub.add_parser(name, help=help_line, formatter_class=formatter))
+        else:
+            sub.add_parser(name, help=help_line, add_help=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = build_parser(argv).parse_args(argv)
         # looked up when it runs, so a patched handler is the one called
         return globals()[f"cmd_{args.command}"](args)
     except (ValueError, IndexError, OSError) as exc:

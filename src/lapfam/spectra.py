@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -343,8 +344,18 @@ def edge_partition_sums(c: int, x: Sequence[int | Fraction]) -> list[Fraction]:
 
 
 def _band_sums(c: int, xs: Sequence[int]) -> list[int]:
-    """``edge_partition_sums`` of an integer vector, as ints."""
-    return [sum((xs[h - 1] - xj) ** 2 for xj in xs[h : 2 * c + 2 - h]) for h in range(1, c + 1)]
+    """``edge_partition_sums`` of an integer vector of length 2c+1, as ints.
+
+    Band h sums (a - x_j)^2 over its cnt = 2c+2-2h partners, a = x_h, which is
+    cnt a^2 - 2a S1 + S2 for S1, S2 the partners' sums of x and x^2: one pair
+    of prefix sums makes each band O(1) instead of O(c)."""
+    p1 = [0, *accumulate(xs)]
+    p2 = [0, *accumulate(map(mul, xs, xs))]
+    bands = []
+    for h, a in enumerate(xs[:c], 1):
+        end = 2 * c + 2 - h  # band h's partners are xs[h:end]
+        bands.append((end - h) * a * a - 2 * a * (p1[end] - p1[h]) + p2[end] - p2[h])
+    return bands
 
 
 def realizes_gap_spectrum(g: Graph, i: int) -> bool:

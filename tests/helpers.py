@@ -341,6 +341,11 @@ def fraction_edge_partition_sums(c, x):
     ]
 
 
+def comprehension_band_sums(c, xs):
+    """Integer band sums, each band summed term by term over its partners."""
+    return [sum((xs[h - 1] - xj) ** 2 for xj in xs[h : 2 * c + 2 - h]) for h in range(1, c + 1)]
+
+
 def pairwise_combination_graph(d, c):
     """G(d, c) by testing every label pair against |x_i - y_i| <= 1."""
     labels = combination_labels(d, c)

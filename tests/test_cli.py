@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -358,6 +359,91 @@ class TestDispatch:
         payload = run_json(capsys, "spectrum", "g:1,1")
         assert seen == ["g:1,1"]
         assert payload["n"] == 1
+
+
+# Help, usage errors and runs, each of which must come out of the call's own
+# parser exactly as out of the full one (every subcommand built).
+_PARSER_CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "spectrum"],
+    ["gen", "-h"],
+    ["spectrum", "-h"],
+    ["dimension", "-h"],
+    ["verify", "-h"],
+    ["foo"],
+    ["foo", "spectrum"],
+    ["Spectrum"],
+    ["--seed", "3", "verify", "--cmax", "2", "--dmax", "2", "--json"],
+    ["--seed=x", "spectrum", "g:2,2"],
+    ["--", "spectrum", "g:2,2"],
+    ["dimension", "g:2,2", "--kind", "metric"],
+    ["gen", "g:2,2", "--format", "png"],
+    ["gen", "spectrum"],
+    ["verify", "--cmax", "spectrum"],
+    ["spectrum", "gplus:2,3"],
+    ["dimension", "gplus:2,2", "--kind", "vector"],
+    ["gen", "gplus:2,3", "--format", "json"],
+]
+
+
+def _outcome(capsys, argv):
+    """Exit code (a help exit as ("exit", code)), stdout with ``elapsed``
+    blanked, and stderr of one ``main`` call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, re.sub(r'"elapsed": [^,\n]+', '"elapsed": null', captured.out), captured.err
+
+
+class TestParserPerCall:
+    @pytest.mark.parametrize("argv", _PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_matches_the_full_parser(self, capsys, monkeypatch, argv):
+        got = _outcome(capsys, argv)
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda _argv: build(cli._COMMANDS))
+        assert _outcome(capsys, argv) == got
+
+    def test_spectrum_call_builds_no_other_subcommand(self, capsys, monkeypatch):
+        added = []
+        real = argparse._ActionsContainer.add_argument
+
+        def recording(self, *args, **kwargs):
+            added.extend(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", recording)
+        assert run_json(capsys, "spectrum", "g:2,2")["n"] == 3
+        assert "input" in added
+        assert not {"--kind", "--cmax", "--format"} & set(added)
+
+    def test_one_terminal_size_query_per_parser(self, monkeypatch):
+        calls = []
+        real = shutil.get_terminal_size
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shutil, "get_terminal_size", counting)
+        for argv in (["spectrum", "g:2,2"], list(cli._COMMANDS)):
+            calls.clear()
+            cli.build_parser(argv)
+            assert len(calls) == 1
+
+    @pytest.mark.parametrize("columns", ["30", "200"])
+    def test_help_width_is_argparse_own(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        parser = cli.build_parser(cli._COMMANDS)
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for each in (parser, *sub.choices.values()):
+            ours = each.format_help()
+            each.formatter_class = argparse.HelpFormatter  # reads the width itself
+            assert each.format_help() == ours
 
 
 class TestErrorPaths:

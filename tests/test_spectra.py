@@ -32,6 +32,7 @@ from lapfam import linalg, spectra
 from lapfam.linalg import poly_eval
 from helpers import (
     adjacency_laplacian,
+    comprehension_band_sums,
     component_count,
     connected_graphs,
     fraction_edge_partition_sums,
@@ -549,6 +550,13 @@ class TestMaskIdentities:
     def test_integer_band_sums_match_fraction_bands(self, c, data):
         x = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=2 * c + 1, max_size=2 * c + 1))
         assert spectra._band_sums(c, x) == fraction_edge_partition_sums(c, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_prefix_band_sums_match_the_comprehension(self, data):
+        c = data.draw(st.integers(1, 64))
+        x = data.draw(st.lists(st.integers(-(10**9), 10**9), min_size=2 * c + 1, max_size=2 * c + 1))
+        assert spectra._band_sums(c, x) == comprehension_band_sums(c, x)
 
     @pytest.mark.parametrize("c", [1, 4, 8])
     def test_eigenpairs_check_reads_the_member_it_is_given(self, c):
