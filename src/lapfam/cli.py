@@ -315,6 +315,8 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else argv
+        if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+            argv = argv[1:]  # argparse would read the "--" as the subcommand's name
         args = build_parser(argv).parse_args(argv)
         # looked up when it runs, so a patched handler is the one called
         return globals()[f"cmd_{args.command}"](args)

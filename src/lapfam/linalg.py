@@ -1,15 +1,18 @@
 """Exact linear algebra over arbitrary-precision integers; no floating point.
 
-Matrices are lists of row lists.  ``char_poly`` works modulo certified
-primes just below 2**78, as many as Hadamard's inequality asks for an exact
-lift: Lanczos' three-term recurrence (Lanczos, J. Res. Nat. Bur. Standards
-45, 1950) for a symmetric matrix, reading each row once as its diagonal
-entry and one getter per distinct off-diagonal value (``_gather``), and
-Hessenberg reduction (Cohen, "A Course in Computational Algebraic Number
-Theory", Alg. 2.2.9) for any other matrix or a Lanczos breakdown.  ``rank``
-is Bareiss fraction-free elimination, every division exact (asserted): the
-public oracle of ``verify_eigenpairs``' rank, counted with no elimination.
-``mat_vec`` is the dense product, the gathered product's test oracle.
+Matrices are lists of row lists, and ``_gather`` is the only builder of
+their gathered rows, which ``_apply`` multiplies by a vector: each row read
+once as its diagonal entry and one getter per distinct off-diagonal value.
+``char_poly`` works modulo certified primes just below 2**78, as many as
+Hadamard's inequality asks for an exact lift: Lanczos' three-term
+recurrence (Lanczos, J. Res. Nat. Bur. Standards 45, 1950) on the gathered
+rows of a symmetric matrix, and Hessenberg reduction (Cohen, "A Course in
+Computational Algebraic Number Theory", Alg. 2.2.9) for any other matrix or
+a Lanczos breakdown.  ``rank`` is Bareiss fraction-free elimination, every
+division exact (asserted): the public oracle of ``verify_eigenpairs``' rank,
+counted with no elimination.  ``mat_vec`` is the dense product, the gathered
+product's test oracle.  Polynomials are coefficient lists by ascending
+degree; ``poly_shift`` is the in-place Taylor shift p(x - s).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from itertools import compress
 from math import gcd, isqrt, prod
 from operator import itemgetter, mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 IntMatrix = list[list[int]]
 
@@ -28,22 +31,22 @@ def mat_vec(a: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(aij * xj for aij, xj in zip(row, x)) for row in a]
 
 
-def _getter(cols: Sequence[int]) -> Callable:
-    """Reads the entries in ``cols`` (non-empty) from a vector, as a sequence."""
-    return itemgetter(*cols) if len(cols) > 1 else itemgetter(slice(cols[0], cols[0] + 1))
-
-
 def _gather(a: Sequence[Sequence[int]]) -> list[tuple]:
     """Row i of a square matrix as (a_ii, ((x, the getter of the columns
-    j != i with a_ij = x) for each distinct non-zero x)), for ``_apply``.
-    The x stay raw ints, not residues (-1 would be q - 1, each product big)."""
+    j != i with a_ij = x) for each distinct non-zero x)), for ``_apply``; a
+    one-column getter is a one-entry slice, so each reads a sequence.  The x
+    stay raw ints, not residues (-1 would be q - 1, each product big)."""
     rows = []
     for i, row in enumerate(a):
         cols: dict[int, list[int]] = {}
         for j in compress(range(len(row)), row):  # the non-zero columns
             if j != i:
                 cols.setdefault(row[j], []).append(j)
-        rows.append((row[i], tuple((x, _getter(js)) for x, js in cols.items())))
+        terms = tuple(
+            (x, itemgetter(*js) if len(js) > 1 else itemgetter(slice(js[0], js[0] + 1)))
+            for x, js in cols.items()
+        )
+        rows.append((row[i], terms))
     return rows
 
 
@@ -244,6 +247,18 @@ def poly_deflate(coeffs: Sequence[int], root: int) -> list[int]:
     if quotient.pop():
         raise ArithmeticError(f"x - {root} does not divide the polynomial")
     return quotient[::-1]
+
+
+def poly_shift(p: Sequence[int], s: int) -> list[int]:
+    """p(x - s) in place: pass k divides what is left by x + s, its remainder
+    the coefficient of degree k (synthetic division), n(n + 1)/2 products."""
+    out = list(p)
+    if not s:
+        return out
+    for k in range(len(out) - 1):
+        for j in range(len(out) - 2, k - 1, -1):
+            out[j] -= s * out[j + 1]
+    return out
 
 
 def poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -119,8 +119,7 @@ def _check_vertices(g: Graph, vertices: Sequence[int]) -> tuple[int, ...]:
 def vector_rep(g: Graph, u: int, order: Sequence[int]) -> tuple[int, ...]:
     """Distances from u to each vertex of ``order``, in that order."""
     order = _check_vertices(g, order)
-    if not 0 <= u < g.n:
-        raise IndexError(f"vertex {u} out of range 0..{g.n - 1}")
+    _check_vertices(g, (u,))
     row = _row(_connected_levels(g)[u], g.n)
     return tuple(row[w] for w in order)
 

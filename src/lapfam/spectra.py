@@ -10,16 +10,17 @@ shifted up by n - n_i (Mohar, "The Laplacian spectrum of graphs", 1991;
 Merris, "Laplacian graph eigenvectors", Linear Algebra Appl. 278, 1998).
 Components come from the BFS walk of ``graphs``, kept inside the part.
 Only a prime part, neither, takes a ``linalg.char_poly`` pass, on its
-dense Laplacian; ``integral_spectrum`` always takes one.
+dense Laplacian (``integral_spectrum`` always takes one), and
+``linalg.poly_shift`` moves the factor it leaves to the part's shift.
 
 The extended graph on 2c+1 vertices has Laplacian spectrum
 {0, 1, ..., 2c+1} \\ {c+1}, every eigenvalue simple, with closed-form
 integer eigenvectors falling into four classes indexed by r = 0..2c.
-Their identities read L x off the neighbourhood masks, in integers, as
-(L x)_v = deg(v) x_v minus the sum of x_u over N(v), and x^T L x by the
+Their identities take L x in integers as ``linalg._apply`` on the gathered
+rows of the dense ``laplacian`` (``linalg._gather``), and x^T L x by the
 body of ``rayleigh``, which alone checks it against the weighted edge sum;
 ``verify`` holds it to lambda |x|^2 and to the band total, the indexed
-member's edge sum term by term.  The dense ``laplacian`` and the tests'
+member's edge sum term by term.  ``linalg.mat_vec`` and the tests'
 ``fraction_rayleigh`` stay as their oracles.
 A graph on n vertices *realizes the gap spectrum at i* when its Laplacian
 spectrum is exactly {0..n} \\ {i} with every eigenvalue simple.
@@ -149,17 +150,6 @@ def _parts(part: int, adj: Sequence[int]) -> list[int]:
     return out
 
 
-def _shifted(p: Sequence[int], s: int) -> list[int]:
-    """p(x - s), by Horner's rule in x - s."""
-    if not s:
-        return list(p)
-    out = [p[-1]]
-    for c in reversed(p[:-1]):
-        out = linalg.poly_mul(out, (-s, 1))
-        out[0] += c
-    return out
-
-
 def graph_spectrum(g: Graph) -> Spectrum:
     """``integral_spectrum(laplacian(g))``, computed along g's cotree.
 
@@ -194,7 +184,7 @@ def graph_spectrum(g: Graph) -> Spectrum:
             found, left = _integer_roots(cp, size)
             for lam, mult in found.items():
                 roots[shift + lam] += mult
-            rest = linalg.poly_mul(_shifted(left, shift), rest)
+            rest = linalg.poly_mul(linalg.poly_shift(left, shift), rest)
             continue
         if nbrs is adj:  # a union
             work += [(p, shift, (co,)) for p in parts]
@@ -257,21 +247,15 @@ def eigenvector_family(c: int) -> IntMatrix:
     return [[cols[r][i] for r in range(n)] for i in range(n)]
 
 
-def _laplacian_rows(g: Graph) -> list[tuple]:
-    """g's Laplacian as ``linalg._gather`` rows, read off the masks with no
-    dense matrix: (L x)_v = deg(v) x_v - (the sum of x_u over N(v))."""
-    nbrs = [list(g.neighbors(v)) for v in range(g.n)]
-    return [(len(us), ((-1, linalg._getter(us)),) if us else ()) for us in nbrs]
-
-
 def verify_eigenpairs(c: int) -> EigenpairReport:
     """Check L x = lambda x entrywise in integer arithmetic for every class,
-    plus distinctness of the eigenvalues and full rank of the eigenvectors."""
-    return _eigenpairs(_laplacian_rows(resolver_graph_indexed(c)), c)
+    plus distinctness of the eigenvalues and full rank of the eigenvectors;
+    L x is ``linalg._apply`` on the gathered rows of G+(2, c)'s Laplacian."""
+    return _eigenpairs(linalg._gather(laplacian(resolver_graph_indexed(c))), c)
 
 
 def _eigenpairs(rows: list[tuple], c: int) -> EigenpairReport:
-    """``verify_eigenpairs(c)`` on rows, the ``_laplacian_rows`` of G+(2, c)."""
+    """``verify_eigenpairs(c)`` on rows, ``linalg._gather`` of G+(2, c)'s Laplacian."""
     cols, n = list(zip(*eigenvector_family(c))), len(rows)
     eigenvalues = [eigenvalue_of_class(c, r) for r in range(n)]
     for r, (x, lam) in enumerate(zip(cols, eigenvalues)):

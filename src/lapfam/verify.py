@@ -38,7 +38,7 @@ from .graphs import (
     eccentricities,
     radius,
 )
-from .linalg import _apply
+from .linalg import _apply, _gather
 from .metric import (
     SEARCH_VERTEX_LIMIT,
     is_outer_multiset_resolving,
@@ -48,7 +48,6 @@ from .metric import (
 from .spectra import (
     _band_sums,
     _eigenpairs,
-    _laplacian_rows,
     _quadratic_form,
     edge_partition_sums,
     eigenvalue_of_class,
@@ -131,11 +130,11 @@ def run_verify(cmax: int = 8, dmax: int = 4) -> VerifyReport:
         raise ValueError(f"cmax and dmax must be positive: {cmax}, {dmax}")
     checks: list[Check] = []
     # One build per family member per run, so the checks share each graph,
-    # its BFS levels and G+(2, c)'s Laplacian rows; nothing outlives the call.
+    # its BFS levels and G+(2, c)'s gathered Laplacian rows; nothing outlives the call.
     combination_graph = cache(families.combination_graph)
     resolver_graph = cache(lambda d, c: families._with_resolvers(combination_graph(d, c), c))
     resolver_graph_indexed = cache(families.resolver_graph_indexed)
-    laplacian_rows = cache(lambda c: _laplacian_rows(resolver_graph_indexed(c)))
+    laplacian_rows = cache(lambda c: _gather(laplacian(resolver_graph_indexed(c))))
 
     def run(name: str, fn: Callable[[], str], status: str = "pass") -> None:
         start = time.perf_counter()

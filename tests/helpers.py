@@ -8,7 +8,8 @@ primes; adjacency tests instead of neighbourhood masks; rational Gaussian
 elimination instead of fraction-free; Fraction sums instead of
 denominator-cleared integer sums; pairwise label comparison instead of
 bitset intersection; edge lists and bit lists instead of neighbourhood
-masks; for threshold graphs, the conjugate degree partition instead of
+masks; Horner's rule in x - s instead of the in-place Taylor shift;
+for threshold graphs, the conjugate degree partition instead of
 any characteristic polynomial; for the subset search, the distinct-codes
 test on every last pick the carried pairs allow instead of only on those
 that separate every pair of equal codes), so exact agreement between the
@@ -76,6 +77,18 @@ def poly_mul(a, b):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return out
+
+
+def horner_shifted(p, s):
+    """p(x - s), by Horner's rule in x - s: one product by x - s and one
+    new list per coefficient, against linalg.poly_shift's in-place shift."""
+    if not s:
+        return list(p)
+    out = [p[-1]]
+    for c in reversed(p[:-1]):
+        out = poly_mul(out, (-s, 1))
+        out[0] += c
     return out
 
 

@@ -361,6 +361,39 @@ class TestDispatch:
         assert payload["n"] == 1
 
 
+class TestDoubleDash:
+    """A "--" before the subcommand's name: dropped, since argparse would
+    read it as the name; before anything else, argv is left as it is."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum", "g:2,2"], ["gen", "gplus:2,2"], ["verify", "--cmax", "2", "--dmax", "2"]],
+    )
+    def test_same_run_as_without_it(self, capsys, argv):
+        plain = _outcome(capsys, argv)
+        assert plain[0] == 0
+        assert _outcome(capsys, ["--", *argv]) == plain
+
+    def test_after_the_subcommand_is_unchanged(self, capsys):
+        plain = _outcome(capsys, ["spectrum", "g:2,2"])
+        assert _outcome(capsys, ["spectrum", "--", "g:2,2"]) == plain
+
+    @pytest.mark.parametrize(
+        "argv", [["--", "foo"], ["--", "--help"], ["--"], ["--", "--", "spectrum"]]
+    )
+    def test_anything_else_is_one_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("lapfam: error: ") and err.count("\n") == 1
+
+    def test_only_the_leading_token_is_dropped(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_spectrum", lambda args: seen.append(args.input) or 0)
+        for argv in (["--", "spectrum", "g:2,2"], ["--", "spectrum", "--", "g:2,2"]):
+            assert main(argv) == 0
+        assert seen == ["g:2,2", "g:2,2"]
+
+
 # Help, usage errors and runs, each of which must come out of the call's own
 # parser exactly as out of the full one (every subcommand built).
 _PARSER_CORPUS = [
@@ -379,6 +412,8 @@ _PARSER_CORPUS = [
     ["--seed", "3", "verify", "--cmax", "2", "--dmax", "2", "--json"],
     ["--seed=x", "spectrum", "g:2,2"],
     ["--", "spectrum", "g:2,2"],
+    ["--", "foo"],
+    ["--", "--help"],
     ["dimension", "g:2,2", "--kind", "metric"],
     ["gen", "g:2,2", "--format", "png"],
     ["gen", "spectrum"],

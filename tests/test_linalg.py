@@ -14,6 +14,7 @@ from lapfam.linalg import (
     mat_vec,
     poly_deflate,
     poly_eval,
+    poly_shift,
     prime_count,
     rank,
 )
@@ -22,6 +23,7 @@ from helpers import (
     faddeev_leverrier_charpoly,
     fraction_rank,
     graphs,
+    horner_shifted,
     per_prime_charpoly,
     poly_mul,
 )
@@ -434,6 +436,36 @@ class TestPolyMul:
     @given(a=polys, b=polys)
     def test_matches_the_schoolbook_oracle(self, a, b):
         assert linalg.poly_mul(a, b) == poly_mul(a, b)
+
+
+class TestPolyShift:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=24),
+        s=st.integers(-60, 60),
+    )
+    def test_matches_horner(self, p, s):
+        assert poly_shift(p, s) == horner_shifted(p, s)
+
+    @settings(max_examples=80, deadline=None)
+    @given(p=polys, s=st.integers(-(10**6), 10**6))
+    def test_round_trip(self, p, s):
+        assert poly_shift(poly_shift(p, s), -s) == p
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=polys, s=st.integers(-50, 50), x=st.integers(-50, 50))
+    def test_evaluates_at_x_minus_s(self, p, s, x):
+        assert poly_eval(poly_shift(p, s), x) == poly_eval(p, x - s)
+
+    def test_zero_shift_is_a_copy(self):
+        p = [2, -4, 1]
+        out = poly_shift(p, 0)
+        assert out == p and out is not p
+
+    def test_known_shift(self):
+        # (x - 3)^2 - 4(x - 3) + 2 = x^2 - 10x + 23
+        assert poly_shift([2, -4, 1], 3) == [23, -10, 1]
+        assert poly_shift([5], 7) == [5]
 
 
 class TestPolyDeflate:

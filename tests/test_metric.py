@@ -69,6 +69,16 @@ class TestRepresentations:
         with pytest.raises(DisconnectedGraphError):
             vector_rep(Graph(2), 0, (1,))
 
+    @pytest.mark.parametrize("u", [-1, 3, 7])
+    def test_source_vertex_has_the_set_vertex_message(self, u):
+        g = Graph.path(3)
+        with pytest.raises(IndexError, match=rf"^vertex {u} out of range 0\.\.2$"):
+            vector_rep(g, u, (1,))
+        with pytest.raises(IndexError, match=rf"^vertex {u} out of range 0\.\.2$"):
+            multiset_rep(g, u, (0, 2))
+        with pytest.raises(IndexError, match=r"^vertex 5 out of range 0\.\.2$"):
+            vector_rep(g, u, (5,))  # the set is checked first
+
 
 class TestResolvingPredicates:
     def test_resolver_set_distinguishes_vectors(self):

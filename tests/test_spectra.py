@@ -256,6 +256,24 @@ class TestGraphSpectrum:
         assert spec == want and not spec.integral
         assert sorted(orders) == prime_orders
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_prime_part_factor_taylor_shifted(self, monkeypatch, k):
+        # K_k + P4: P4 is the one prime part, at shift k; its factor
+        # x^2 - 4x + 2 (eigenvalues 2 +- sqrt 2) goes through poly_shift
+        g = join(Graph.complete(k), Graph.path(4))
+        real, calls = linalg.poly_shift, []
+
+        def spy(p, s):
+            calls.append((list(p), s))
+            return real(p, s)
+
+        monkeypatch.setattr(linalg, "poly_shift", spy)
+        spec = graph_spectrum(g)
+        assert spec == integral_spectrum(laplacian(g))
+        assert calls == [([2, -4, 1], k)]
+        assert spec.residual_degree == 2
+        assert spec.pairs == ((k + 4, k), (k + 2, 1), (0, 1))
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -372,7 +390,7 @@ class TestClosedFormEigenpairs:
         # The reported (or raised) rank of a basis with 0-3 columns zeroed
         # equals the Bareiss rank and the Fraction rank.
         n, rng = 2 * c + 1, random.Random(c)
-        rows = spectra._laplacian_rows(resolver_graph_indexed(c))
+        rows = linalg._gather(laplacian(resolver_graph_indexed(c)))
         family = eigenvector_family(c)
         for k in range(4):
             zero = set(rng.sample(range(n), k))
@@ -515,13 +533,13 @@ class TestEdgePartition:
 
 
 class TestMaskIdentities:
-    """L x and x^T L x read off the neighbourhood masks, against the dense forms."""
+    """L x and x^T L x on the Laplacian's gathered rows, against the dense forms."""
 
     @settings(max_examples=80, deadline=None)
     @given(g=graphs(max_n=10), data=st.data())
     def test_product_matches_dense_mat_vec(self, g, data):
         x = data.draw(st.lists(st.integers(-(10**12), 10**12), min_size=g.n, max_size=g.n))
-        assert linalg._apply(spectra._laplacian_rows(g), x) == linalg.mat_vec(laplacian(g), x)
+        assert linalg._apply(linalg._gather(laplacian(g)), x) == linalg.mat_vec(laplacian(g), x)
 
     @settings(max_examples=80, deadline=None)
     @given(g=graphs(max_n=10), data=st.data())
@@ -529,20 +547,20 @@ class TestMaskIdentities:
         x = data.draw(
             st.lists(st.integers(-50, 50), min_size=g.n, max_size=g.n).filter(any)
         )
-        quad, norm2 = spectra._quadratic_form(spectra._laplacian_rows(g), x)
+        quad, norm2 = spectra._quadratic_form(linalg._gather(laplacian(g)), x)
         assert norm2 == sum(v * v for v in x)
         assert Fraction(quad, norm2) == fraction_rayleigh(laplacian(g), x)
 
     def test_isolated_vertex_row_is_its_zero_degree(self):
         g = disjoint_union(Graph(1), Graph.path(2))
-        rows = spectra._laplacian_rows(g)
+        rows = linalg._gather(laplacian(g))
         assert rows[0] == (0, ())
         assert linalg._apply(rows, [7, 1, 4]) == [0, -3, 3]
 
     def test_zero_vector_is_refused(self):
         g = Graph.path(3)
         with pytest.raises(ValueError, match="zero vector"):
-            spectra._quadratic_form(spectra._laplacian_rows(g), [0, 0, 0])
+            spectra._quadratic_form(linalg._gather(laplacian(g)), [0, 0, 0])
 
     @pytest.mark.parametrize("c", [1, 2, 5])
     @settings(max_examples=30, deadline=None)
@@ -561,9 +579,9 @@ class TestMaskIdentities:
     @pytest.mark.parametrize("c", [1, 4, 8])
     def test_eigenpairs_check_reads_the_member_it_is_given(self, c):
         g = resolver_graph_indexed(c)
-        assert spectra._eigenpairs(spectra._laplacian_rows(g), c) == verify_eigenpairs(c)
+        assert spectra._eigenpairs(linalg._gather(laplacian(g)), c) == verify_eigenpairs(c)
         with pytest.raises(VerificationError):  # G+(2, c) less one edge
-            spectra._eigenpairs(spectra._laplacian_rows(Graph(g.n, list(g.edges())[1:])), c)
+            spectra._eigenpairs(linalg._gather(laplacian(Graph(g.n, list(g.edges())[1:]))), c)
 
 
 class TestGapSpectrum:

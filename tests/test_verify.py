@@ -322,16 +322,23 @@ class TestSharing:
     @pytest.mark.parametrize("cmax, dmax", [(8, 4), (1, 4), (2, 2)])
     def test_one_row_set_per_member(self, monkeypatch, cmax, dmax):
         # eigenpairs, rayleigh-identities and kernel-support share each
-        # G+(2, c)'s Laplacian rows (3 builds per member when each built its own)
-        real = spectra._laplacian_rows
+        # G+(2, c)'s gathered Laplacian rows (3 builds per member when each
+        # built its own); every binding of _gather is watched, Lanczos' too,
+        # and only worked-example's frozen matrix is left out of the count
+        real = linalg._gather
         calls = Counter()
 
-        def counted(g):
-            calls[g.n] += 1
-            return real(g)
+        def counted(a):
+            member = len(a) >= 3 and len(a) % 2 and laplacian(resolver_graph_indexed(len(a) // 2))
+            if a is not verify_module._WORKED_LAPLACIAN and a == member:
+                calls[len(a)] += 1
+            return real(a)
 
-        monkeypatch.setattr(spectra, "_laplacian_rows", counted)
-        monkeypatch.setattr(verify_module, "_laplacian_rows", counted)
+        bound = [m for name, m in sys.modules.items() if name.split(".")[0] == "lapfam"]
+        bound = [m for m in bound if getattr(m, "_gather", None) is real]
+        assert {linalg, verify_module} <= set(bound)
+        for module in bound:
+            monkeypatch.setattr(module, "_gather", counted)
         assert run_verify(cmax=cmax, dmax=dmax).ok
         assert calls == {2 * c + 1: 1 for c in range(1, cmax + 1)}
 
